@@ -12,10 +12,15 @@ nonnegative v, y.  Higher orders come from repeated compounding
     next = E3 (x) inner  +  L3(c, v, y) (x) E_m,
 
 where (x) is the Kronecker product and E is the all-ones matrix; the level-1
-triple is the innermost factor.  The eight dihedral images of a square
-(its phases) act on the parameters by per-level sign changes and swaps of
-(v, y), which this module implements both ways (on matrices and on
-parameter tuples).
+triple is the innermost factor.  Block (a, b) of the next square is the inner
+square plus L3[a][b], so entry (i, j) of a level-l square is the sum over
+levels k of L3(c_k, v_k, y_k)[d_k(i)][d_k(j)], with d_k the k-th base-3
+digit (level 1 the least significant); `lucas` builds the rows that way.
+`compound_once` keeps the Kronecker form as a reference.
+
+The eight dihedral images of a square (its phases) act on the parameters by
+per-level sign changes and swaps of (v, y), and on the matrix by a transpose
+and row/column reversals; one table holds both actions.
 """
 
 from __future__ import annotations
@@ -48,11 +53,11 @@ def level_of_order(n: int) -> int:
     """The exponent l with n = 3**l, or ValueError if n is not a 3-power."""
     if n < 3:
         raise ValueError(f"order {n} is not a positive power of 3")
-    level = 0
-    while n > 1:
-        if n % 3:
-            raise ValueError(f"order is not a power of 3")
-        n //= 3
+    level, rest = 0, n
+    while rest > 1:
+        if rest % 3:
+            raise ValueError(f"order {n} is not a power of 3")
+        rest //= 3
         level += 1
     return level
 
@@ -72,13 +77,17 @@ def lucas(triples) -> SquareMatrix:
     """The compound Lucas square for a sequence of (c, v, y) triples.
 
     triples[0] is the innermost level; the order of the result is
-    3**len(triples).
+    3**len(triples).  Each level replaces the rows so far by the 3x3 block
+    matrix whose block (a, b) is those rows plus lucas3(c, v, y)[a][b].
     """
-    triples = normalize_triples(triples)
-    m = lucas3(*triples[0])
-    for c, v, y in triples[1:]:
-        m = compound_once(m, c, v, y)
-    return m
+    rows = [[0]]
+    for c, v, y in normalize_triples(triples):
+        rows = [
+            [x + s for s in outer_row for x in r]
+            for outer_row in lucas3(c, v, y).rows
+            for r in rows
+        ]
+    return SquareMatrix(rows)
 
 
 def frierson(pairs) -> SquareMatrix:
@@ -124,20 +133,23 @@ def magic_index(triples) -> int:
 
 # ---------------------------------------------------------------------------
 # Phases: the dihedral group of order 8, realized three ways — on matrices
-# (reversal R and transpose), on (v, y) pairs, and as name composition.
+# (transpose and reversals), on (v, y) pairs, and as name composition.
 # ---------------------------------------------------------------------------
 
-# name -> (v, y) action; "mr" means right-multiplication by R, "rm" left,
-# "t" transpose, and compositions read outermost-last ("rt" = R @ m.T).
+# name -> ((v, y) action, (transpose, flip_rows, flip_cols)).  The names spell
+# the matrix form with R the reversal permutation: "mr" is m @ R (columns
+# reversed), "rm" is R @ m (rows reversed), "t" the transpose, and
+# compositions read outermost-last ("rt" = R @ m.T).  The matrix action
+# transposes first, then reverses.
 PHASE_ACTIONS = {
-    "identity": lambda v, y: (v, y),
-    "mr": lambda v, y: (y, v),
-    "rm": lambda v, y: (-y, -v),
-    "rmr": lambda v, y: (-v, -y),
-    "t": lambda v, y: (v, -y),
-    "tr": lambda v, y: (-y, v),
-    "rt": lambda v, y: (y, -v),
-    "rtr": lambda v, y: (-v, y),
+    "identity": (lambda v, y: (v, y), (False, False, False)),
+    "mr": (lambda v, y: (y, v), (False, False, True)),
+    "rm": (lambda v, y: (-y, -v), (False, True, False)),
+    "rmr": (lambda v, y: (-v, -y), (False, True, True)),
+    "t": (lambda v, y: (v, -y), (True, False, False)),
+    "tr": (lambda v, y: (-y, v), (True, False, True)),
+    "rt": (lambda v, y: (y, -v), (True, True, False)),
+    "rtr": (lambda v, y: (-v, y), (True, True, True)),
 }
 
 PHASE_NAMES = tuple(PHASE_ACTIONS)
@@ -145,24 +157,16 @@ PHASE_NAMES = tuple(PHASE_ACTIONS)
 
 def apply_phase(m: SquareMatrix, phase: str) -> SquareMatrix:
     """Apply one of the 8 dihedral transforms to a square matrix."""
-    r = SquareMatrix.cross_identity(m.n)
-    if phase == "identity":
-        return m
-    if phase == "mr":
-        return m @ r
-    if phase == "rm":
-        return r @ m
-    if phase == "rmr":
-        return r @ m @ r
-    if phase == "t":
-        return m.T
-    if phase == "tr":
-        return m.T @ r
-    if phase == "rt":
-        return r @ m.T
-    if phase == "rtr":
-        return r @ m.T @ r
-    raise ValueError(f"unknown phase {phase!r}")
+    entry = PHASE_ACTIONS.get(phase)
+    if entry is None:
+        raise ValueError(f"unknown phase {phase!r}")
+    transpose, flip_rows, flip_cols = entry[1]
+    rows = list(zip(*m.rows)) if transpose else m.rows
+    if flip_rows:
+        rows = rows[::-1]
+    if flip_cols:
+        rows = [r[::-1] for r in rows]
+    return SquareMatrix(rows)
 
 
 def phase_parameters(triples, phase: str) -> tuple[Triple, ...]:
@@ -170,9 +174,10 @@ def phase_parameters(triples, phase: str) -> tuple[Triple, ...]:
 
     Each level's (v, y) transforms the same way; the c's are untouched.
     """
-    act = PHASE_ACTIONS.get(phase)
-    if act is None:
+    entry = PHASE_ACTIONS.get(phase)
+    if entry is None:
         raise ValueError(f"unknown phase {phase!r}")
+    act = entry[0]
     return tuple((c,) + act(v, y) for c, v, y in normalize_triples(triples))
 
 

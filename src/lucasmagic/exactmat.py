@@ -218,7 +218,10 @@ class SquareMatrix:
             line = line.strip()
             if not line:
                 continue
-            rows.append([Fraction(tok) for tok in line.split()])
+            try:
+                rows.append([Fraction(tok) for tok in line.split()])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in grid row {line!r}") from None
         return SquareMatrix(rows)
 
     def to_json(self) -> dict:
@@ -230,7 +233,12 @@ class SquareMatrix:
     def from_json(obj) -> "SquareMatrix":
         if isinstance(obj, str):
             obj = json.loads(obj)
-        m = SquareMatrix(obj["rows"])
+        rows = obj.get("rows") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(type(x) is int for x in r) for r in rows
+        ):
+            raise ValueError('json matrix needs "rows": a list of lists of integers')
+        m = SquareMatrix(rows)
         if m.n != obj.get("order", m.n):
             raise ValueError("declared order disagrees with row count")
         return m

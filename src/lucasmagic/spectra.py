@@ -8,10 +8,10 @@ nonzero spectrum by 3 and appends the outer level's pair, so at level l the
 nonzero eigenvalues are mu and +-3^(l-1) lambda_i and the nonzero singular
 values are |mu|, 3^(l-1)|phi_i|, 3^(l-1)|psi_i| — everything else is zero.
 
-The eigenvector and singular-vector matrices follow the same Kronecker
-recursion as the squares themselves (outermost factor on the left), with
-the diagonal kept in a fixed block order: mu first, the per-level pairs
-(innermost level first), zeros last.
+The diagonals are kept in a fixed block order: mu first, the per-level
+pairs (innermost level first), zeros last.  The eigenvector and
+singular-vector matrices are Kronecker products of order-3 factors
+(outermost factor on the left), with their columns taken in that order.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ import numpy as np
 from .construct import normalize_triples, lucas, lucas3, magic_index
 from .exactmat import SquareMatrix, kron
 from .radical import Radical, RadicalSum
-
-POWER_CLOSED_FORM_MAX_LEVEL = 2
-
-_MU = (0,)
-_ZERO = (2,)
 
 
 def lam(v: int, y: int) -> Radical:
@@ -53,64 +48,47 @@ def omega(v: int, y: int) -> Radical:
 
 
 # ---------------------------------------------------------------------------
-# Diagonals.  Built in raw Kronecker-recursion positions with provenance
-# tags, then stably sorted into the block order [mu, pairs, zeros]; S/U/V
-# columns are permuted by the same order so the pairings survive.
+# Diagonals, in block order: mu, then each level's pair scaled by 3^(l-1)
+# (innermost level first), then zeros.  In the Kronecker product of order-3
+# factors the mu column is 0 and the level-k pair columns are 3^(k-1) and
+# 2*3^(k-1); every other column belongs to a zero.
 # ---------------------------------------------------------------------------
 
 
-def _tagged_diagonal(triples, pair_for_level):
-    """Diagonal entries (Radical, tag) in raw Kronecker positions.
-
-    pair_for_level(k, c, v, y) supplies the two level-k pair entries, already
-    scaled by 3^(k-1).  Tags: (0,) for the mu slot, (1, level, 0|1) for pair
-    slots, (2,) for structural zeros.
-    """
-    c1, v1, y1 = triples[0]
-    p, q = pair_for_level(1, c1, v1, y1)
-    diag = [(Radical(3 * c1), _MU), (p, (1, 1, 0)), (q, (1, 1, 1))]
-    for k in range(2, len(triples) + 1):
-        c, v, y = triples[k - 1]
-        m = 3 ** (k - 1)
-        p, q = pair_for_level(k, c, v, y)
-        new = [(Radical(0), _ZERO)] * (3 * m)
-        head, tag = diag[0]
-        new[0] = (head * 3 + 3 ** k * c, tag)
-        for j in range(1, m):
-            val, tag = diag[j]
-            new[j] = (val * 3, tag)
-        new[m] = (p, (1, k, 0))
-        new[2 * m] = (q, (1, k, 1))
-        diag = new
-    return diag
+def _block_diagonal(mu: Radical, pairs, level: int) -> list[Radical]:
+    """mu, the scaled level pairs, then zeros up to 3**level entries."""
+    return [mu, *pairs] + [Radical(0)] * (3 ** level - 1 - len(pairs))
 
 
-def _jcf_pair(k, c, v, y):
-    scaled = Radical(3 ** (k - 1), 3 * (v * v - y * y))
-    return scaled, -scaled
+def _block_columns(level: int) -> list[int]:
+    """The Kronecker column of each block-order slot."""
+    head = [0] + [j * 3 ** k for k in range(level) for j in (1, 2)]
+    taken = set(head)
+    return head + [j for j in range(3 ** level) if j not in taken]
 
 
-def _svd_pair(k, c, v, y):
-    s = 3 ** (k - 1)
-    return Radical(s * (v + y), 3), Radical(s * (v - y), 3)
-
-
-def _block_order(diag):
-    return sorted(range(len(diag)), key=lambda i: diag[i][1])
+def _phi_psi_coeffs(triples) -> list[int]:
+    """v+y and v-y for each level: phi and psi over sqrt(3), signed."""
+    return [w for _, v, y in triples for w in (v + y, v - y)]
 
 
 def eigenvalues(triples) -> list[Radical]:
     """All 3**level eigenvalues: mu, +-3^(l-1)lambda_i per level, zeros."""
     triples = normalize_triples(triples)
-    diag = _tagged_diagonal(triples, _jcf_pair)
-    return [diag[i][0] for i in _block_order(diag)]
+    scale = 3 ** (len(triples) - 1)
+    pairs = []
+    for _, v, y in triples:
+        r = Radical(scale, 3 * (v * v - y * y))
+        pairs += (r, -r)
+    return _block_diagonal(Radical(magic_index(triples)), pairs, len(triples))
 
 
 def singular_values(triples) -> list[Radical]:
     """All 3**level singular values in the same block order, nonnegative."""
     triples = normalize_triples(triples)
-    diag = _tagged_diagonal(triples, _svd_pair)
-    return [abs(diag[i][0]) for i in _block_order(diag)]
+    scale = 3 ** (len(triples) - 1)
+    pairs = [Radical(scale * abs(w), 3) for w in _phi_psi_coeffs(triples)]
+    return _block_diagonal(Radical(abs(magic_index(triples))), pairs, len(triples))
 
 
 def sorted_singular_values(triples) -> list[Radical]:
@@ -264,19 +242,17 @@ def jcf_matrices(triples) -> DecompositionMatrices:
     s = s3(triples[-1][1], triples[-1][2])
     for c, v, y in reversed(triples[:-1]):
         s = rad_kron(s, s3(v, y))
-    diag = _tagged_diagonal(triples, _jcf_pair)
-    order = _block_order(diag)
     return DecompositionMatrices(
-        s=s.permute_columns(order),
-        d=tuple(diag[i][0] for i in order),
+        s=s.permute_columns(_block_columns(len(triples))),
+        d=tuple(eigenvalues(triples)),
     )
 
 
 def svd_matrices(triples) -> DecompositionMatrices:
     """Orthogonal U, V and nonnegative diagonal sigma with U diag(sigma) V^T = M.
 
-    The raw Kronecker recursion produces signed diagonal entries; each
-    negative one is negated together with its U column.
+    The U column of each negative closed-form value (mu, 3^(l-1) phi_i or
+    3^(l-1) psi_i) is negated, so sigma holds their absolute values.
     """
     triples = normalize_triples(triples)
     u = U3
@@ -284,17 +260,14 @@ def svd_matrices(triples) -> DecompositionMatrices:
     for _ in triples[1:]:
         u = rad_kron(U3, u)
         v = rad_kron(V3, v)
-    diag = _tagged_diagonal(triples, _svd_pair)
-    signs = [
-        -1 if (val.is_real() and val.coeff < 0) else 1 for val, _ in diag
-    ]
-    u = u.scale_columns(signs)
-    fixed = [(abs(val), tag) for val, tag in diag]
-    order = _block_order(fixed)
+    sigma = singular_values(triples)
+    signed = [magic_index(triples), *_phi_psi_coeffs(triples)]
+    signs = [-1 if w < 0 else 1 for w in signed] + [1] * (len(sigma) - len(signed))
+    order = _block_columns(len(triples))
     return DecompositionMatrices(
-        u=u.permute_columns(order),
+        u=u.permute_columns(order).scale_columns(signs),
         v=v.permute_columns(order),
-        sigma=tuple(fixed[i][0] for i in order),
+        sigma=tuple(sigma),
     )
 
 

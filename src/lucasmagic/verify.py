@@ -86,9 +86,11 @@ def fnc_parameter_equation(level: int) -> int:
 def recover_lucas_params(m: SquareMatrix):
     """Invert the compound Lucas construction, or return None.
 
-    Reads v and y at each level from corner-vs-center element differences,
-    descending into the central block.  Individual c_i are not determined
-    by the matrix (only their total is), so the c's are gauged as
+    Reads v and y at each level from element differences around the
+    center: with mid = n // 2 (every base-3 digit 1) and s = 3^(k-1),
+    v_k = M[mid-s][mid-s] - M[mid][mid] and y_k = M[mid-s][mid+s] - M[mid][mid],
+    and M[mid][mid] is the total of the c_i.  Individual c_i are not
+    determined by the matrix (only their total is), so the c's are gauged as
     c_i = |v_i| + |y_i| for i >= 2 with the remainder in c_1 — which
     reproduces the conventional values for natural squares.  The candidate
     is always verified by reconstruction; any mismatch returns None.
@@ -97,18 +99,13 @@ def recover_lucas_params(m: SquareMatrix):
         level = level_of_order(m.n)
     except ValueError:
         return None
+    mid = m.n // 2
+    c_total = m.rows[mid][mid]
     vy = []
-    cur = m
-    for _ in range(level, 1, -1):
-        k = cur.n // 3
-        center = cur.rows[k][k]
-        vy.append((cur.rows[0][0] - center, cur.rows[0][2 * k] - center))
-        cur = SquareMatrix(
-            [[cur.rows[k + i][k + j] for j in range(k)] for i in range(k)]
-        )
-    c_total = cur.rows[1][1]
-    vy.append((cur.rows[0][0] - c_total, cur.rows[0][2] - c_total))
-    vy.reverse()  # innermost level first
+    for k in range(level):  # innermost level first
+        s = 3 ** k
+        row = m.rows[mid - s]
+        vy.append((row[mid - s] - c_total, row[mid + s] - c_total))
 
     cs = [abs(v) + abs(y) for v, y in vy]
     cs[0] = c_total - sum(cs[1:])

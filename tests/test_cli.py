@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lucasmagic
 from lucasmagic.cli import build_parser, main
 from lucasmagic.construct import frierson9, lucas, lucas3
 from lucasmagic.exactmat import SquareMatrix
@@ -127,6 +131,28 @@ def test_verify_malformed_grid(tmp_path, capsys):
     f.write_text("1 2 3\n4 5\n")
     rc, _, err = run(capsys, "verify", str(f))
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("string.json", '{"order": 3, "rows": [[1, 2, 3], [4, "5", 6], [7, 8, 9]]}'),
+        ("float.json", '{"order": 3, "rows": [[1, 2, 3], [4, 5.0, 6], [7, 8, 9]]}'),
+        ("rows_int.json", '{"order": 3, "rows": 5}'),
+        ("zero_den.txt", "1 2 3\n4 1/0 6\n7 8 9\n"),
+    ],
+)
+def test_verify_malformed_input_exits_2(tmp_path, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lucasmagic", "verify", str(f)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_round_trip_generate_verify(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,14 @@ def test_lucas_multi_level_matches_iterated_compounding():
     deep = lucas(((4, 3, 1), (36, 27, 9), (324, 243, 81)))
     assert deep == compound_once(m, 324, 243, 81)
     assert deep.n == 27
+    rng = random.Random(7)
+    for level in range(1, 6):
+        for _ in range(3):
+            triples = [tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(level)]
+            chain = lucas3(*triples[0])
+            for c, v, y in triples[1:]:
+                chain = compound_once(chain, c, v, y)
+            assert lucas(triples) == chain
 
 
 def test_magic_index():
@@ -110,16 +120,21 @@ def test_eight_phases_match_parameter_action():
 
 
 def test_phase_matrix_forms():
-    m = lucas3(4, 3, 1)
-    r = SquareMatrix.cross_identity(3)
-    assert apply_phase(m, "identity") == m
-    assert apply_phase(m, "mr") == m @ r
-    assert apply_phase(m, "rm") == r @ m
-    assert apply_phase(m, "rmr") == r @ m @ r
-    assert apply_phase(m, "t") == m.transpose()
-    assert apply_phase(m, "tr") == m.transpose() @ r
-    assert apply_phase(m, "rt") == r @ m.transpose()
-    assert apply_phase(m, "rtr") == r @ m.transpose() @ r
+    for triples in (
+        ((4, 3, 1),),
+        ((4, 1, 3), (36, -27, 9)),
+        ((4, 3, -1), (36, 9, 27), (324, -243, 81)),
+    ):
+        m = lucas(triples)
+        r = SquareMatrix.cross_identity(m.n)
+        assert apply_phase(m, "identity") == m
+        assert apply_phase(m, "mr") == m @ r
+        assert apply_phase(m, "rm") == r @ m
+        assert apply_phase(m, "rmr") == r @ m @ r
+        assert apply_phase(m, "t") == m.transpose()
+        assert apply_phase(m, "tr") == m.transpose() @ r
+        assert apply_phase(m, "rt") == r @ m.transpose()
+        assert apply_phase(m, "rtr") == r @ m.transpose() @ r
 
 
 def test_phases_cover_the_natural_squares():

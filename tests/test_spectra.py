@@ -216,6 +216,16 @@ def test_frobenius_identity_for_random_parameters(triples):
     assert sum(s.square() for s in singular_values(triples)) == m.frobenius_sq()
 
 
+@given(st.lists(st.tuples(signed, signed, signed), min_size=1, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_eigenvalue_sums_match_traces(triples):
+    m = lucas(triples)
+    evs = eigenvalues(triples)
+    assert len(evs) == m.n
+    assert sum((RadicalSum(e) for e in evs), RadicalSum()) == m.trace()
+    assert sum(e.square() for e in evs) == (m @ m).trace()
+
+
 @given(st.tuples(signed, signed, signed), st.integers(min_value=1, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_order3_power_closed_form(t, k):
