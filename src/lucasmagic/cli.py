@@ -31,10 +31,9 @@ from .construct import (
 from .enumeration import census, enumerate_fundamental
 from .exactmat import SquareMatrix
 from .spectra import (
-    eigenvalues,
+    _spectral_row,
     lucas3_inverse,
     matrix_power,
-    singular_values,
     spectrum_report,
     table1_row,
 )
@@ -133,20 +132,14 @@ def _spectra_markdown(triples) -> str:
     """One Table-1-style markdown row for any level: |lambda_i| per level
     and the nonzero sigma/sqrt(3) integers."""
     lev = len(triples)
-    evs = eigenvalues(triples)
-    svs = singular_values(triples)
-    lams = [str(abs(evs[2 * i - 1])) for i in range(1, lev + 1)]
-    sigs = []
-    for r in svs[1 : 2 * lev + 1]:
-        if r.radicand not in (0, 3):  # never happens: sigma = integer * sqrt(3)
-            raise AssertionError("sigma/sqrt(3) is not an integer")
-        sigs.append(str(0 if r.is_zero() else int(r.coeff)))
+    lams, sigs = _spectral_row(triples)
     head = [f"\\|lambda_{i}\\|" for i in range(1, lev + 1)]
     head += [f"sigma_{j}/sqrt(3)" for j in range(2, 2 * lev + 2)]
+    row = [format_lucas_params(triples), *lams, *map(str, sigs)]
     lines = [
         "| " + " | ".join(["params"] + head) + " |",
         "|" + "---|" * (len(head) + 1),
-        "| " + " | ".join([format_lucas_params(triples)] + lams + sigs) + " |",
+        "| " + " | ".join(row) + " |",
     ]
     return "\n".join(lines) + "\n"
 

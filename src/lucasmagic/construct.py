@@ -15,7 +15,8 @@ where (x) is the Kronecker product and E is the all-ones matrix; the level-1
 triple is the innermost factor.  Block (a, b) of the next square is the inner
 square plus L3[a][b], so entry (i, j) of a level-l square is the sum over
 levels k of L3(c_k, v_k, y_k)[d_k(i)][d_k(j)], with d_k the k-th base-3
-digit (level 1 the least significant); `lucas` builds the rows that way.
+digit (level 1 the least significant); `lucas` builds the rows that way,
+and `spectra.matrix_power` builds powers with the same kernel.
 `compound_once` keeps the Kronecker form as a reference.
 
 The eight dihedral images of a square (its phases) act on the parameters by
@@ -77,15 +78,21 @@ def lucas(triples) -> SquareMatrix:
     """The compound Lucas square for a sequence of (c, v, y) triples.
 
     triples[0] is the innermost level; the order of the result is
-    3**len(triples).  Each level replaces the rows so far by the 3x3 block
-    matrix whose block (a, b) is those rows plus lucas3(c, v, y)[a][b].
+    3**len(triples).
+    """
+    return _block_sum([lucas3(c, v, y).rows for c, v, y in normalize_triples(triples)])
+
+
+def _block_sum(blocks) -> SquareMatrix:
+    """The square whose entry (i, j) is the sum over k of
+    blocks[k][d_k(i)][d_k(j)], with d_k the k-th base-3 digit (blocks[0]
+    the least significant).  Each block replaces the rows so far by the 3x3
+    block matrix whose block (a, b) is those rows plus blocks[k][a][b].
     """
     rows = [[0]]
-    for c, v, y in normalize_triples(triples):
+    for block in blocks:
         rows = [
-            [x + s for s in outer_row for x in r]
-            for outer_row in lucas3(c, v, y).rows
-            for r in rows
+            [x + s for s in outer_row for x in r] for outer_row in block for r in rows
         ]
     return SquareMatrix(rows)
 

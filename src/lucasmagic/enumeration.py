@@ -26,6 +26,11 @@ from .verify import fnc_parameter_equation
 MATERIALIZATION_CEILING = 3
 
 
+def _check_level(level: int) -> None:
+    if level < 1:
+        raise ValueError("level must be >= 1")
+
+
 def lucas_total(level: int) -> int:
     return 2 ** (2 * level) * factorial(2 * level)
 
@@ -115,6 +120,7 @@ def enumerate_fundamental(
     form and cross-check the count against the closed formula; beyond the
     ceiling only the formulas are used and representatives are None.
     """
+    _check_level(level)
     formula = (
         lucas_fundamental_formula(level)
         if family == "lucas"
@@ -220,6 +226,7 @@ def sv_class_count(level: int, materialize: bool | None = None) -> int:
     actually collecting the multisets over all fundamental Frierson
     squares; a mismatch would raise.
     """
+    _check_level(level)
     formula = double_factorial_odd(level)
     if materialize is None:
         materialize = level <= MATERIALIZATION_CEILING
@@ -263,8 +270,7 @@ class CensusRow:
 
 def census(level: int) -> CensusRow:
     """One row of the numerical-constants table, from the closed formulas."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    _check_level(level)
     n = 3 ** level
     return CensusRow(
         level=level,

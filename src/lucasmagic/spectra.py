@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construct import normalize_triples, lucas, lucas3, magic_index
-from .exactmat import SquareMatrix, kron
+from .construct import _block_sum, normalize_triples, lucas, lucas3, magic_index
+from .exactmat import SquareMatrix
 from .radical import Radical, RadicalSum
 
 
@@ -281,20 +281,20 @@ def _diag_complex(values) -> np.ndarray:
 
 
 def jcf_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
-    """|| M S - S D ||_F / || M ||_F in floating point."""
+    """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0)."""
     a = np.array(m.to_lists(), dtype=float)
     s = dec.s.to_complex()
     d = _diag_complex(dec.d)
-    return float(np.linalg.norm(a @ s - s @ d) / np.linalg.norm(a))
+    return float(np.linalg.norm(a @ s - s @ d) / (np.linalg.norm(a) or 1.0))
 
 
 def svd_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
-    """|| U Sigma V^T - M ||_F / || M ||_F in floating point."""
+    """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0)."""
     a = np.array(m.to_lists(), dtype=float)
     u = dec.u.to_complex().real
     v = dec.v.to_complex().real
     sig = _diag_complex(dec.sigma).real
-    return float(np.linalg.norm(u @ sig @ v.T - a) / np.linalg.norm(a))
+    return float(np.linalg.norm(u @ sig @ v.T - a) / (np.linalg.norm(a) or 1.0))
 
 
 def orthonormality_residual(mat: RadMatrix) -> float:
@@ -357,77 +357,64 @@ def spectrum_report(triples) -> SpectrumReport:
 def table1_row(v: int, y: int, s: int, t: int) -> dict:
     """|lambda_1|, |lambda_2| and sigma_2..sigma_5 / sqrt(3) for an order-9
     Frierson square, in the layout the ``tables`` command prints."""
-    evs = eigenvalues([(v + y, v, y), (s + t, s, t)])
-    svs = singular_values([(v + y, v, y), (s + t, s, t)])
-    sig_over_sqrt3 = []
-    for r in svs[1:5]:
-        if r.radicand not in (0, 3):
-            raise AssertionError("sigma/sqrt(3) is not rational")
-        sig_over_sqrt3.append(0 if r.is_zero() else int(r.coeff))
+    lams, sigs = _spectral_row([(v + y, v, y), (s + t, s, t)])
     return {
         "set": (v, y, s, t),
-        "abs_lambda1": str(abs(evs[1])),
-        "abs_lambda2": str(abs(evs[3])),
-        "sigma_over_sqrt3": sig_over_sqrt3,
+        "abs_lambda1": lams[0],
+        "abs_lambda2": lams[1],
+        "sigma_over_sqrt3": sigs,
     }
+
+
+def _spectral_row(triples) -> tuple[list[str], list[int]]:
+    """|lambda_i| per level as strings, and sigma_2..sigma_(2l+1) / sqrt(3)
+    as integers (every nonzero sigma past mu is an integer times sqrt(3))."""
+    evs = eigenvalues(triples)
+    svs = singular_values(triples)
+    lams = [str(abs(evs[2 * i + 1])) for i in range(len(triples))]
+    sigs = []
+    for r in svs[1 : 2 * len(triples) + 1]:
+        if r.radicand not in (0, 3):
+            raise AssertionError("sigma/sqrt(3) is not an integer")
+        sigs.append(0 if r.is_zero() else int(r.coeff))
+    return lams, sigs
 
 
 # ---------------------------------------------------------------------------
 # Matrix powers and the order-3 inverse
 # ---------------------------------------------------------------------------
 
+_THREE_I_MINUS_E = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+
 
 def matrix_power(triples, k: int) -> SquareMatrix:
-    """The k-th power of lucas(triples).
+    """The k-th power of lucas(triples), in closed form at every level.
 
-    Levels 1 and 2 use the closed forms (odd/even branches); higher levels
-    fall back to exact repeated multiplication.
+    A level-l square is C E + sum_i N_i placed at base-3 digit i (E-blocks
+    at the other digits), with C the total of the c_i, E all-ones and
+    N_i = lucas3(0, v_i, y_i).  N E = E N = 0 kills every cross term, so
+    M^k = C^k 3^(l(k-1)) E + sum_i 3^((k-1)(l-1)) N_i^k at digit i, where
+    N^k = (3d)^((k-1)/2) N for odd k and 3^(k/2-1) d^(k/2) (3I - E) for even
+    k, d = v^2 - y^2.  The constant rides on the innermost block.  A factor
+    that is zero (C = 0, or d = 0 with k >= 2) is found before any power of
+    3 is taken, so zero terms cost nothing at any k.
     """
     triples = normalize_triples(triples)
     if k < 1:
         raise ValueError("power must be a positive integer")
-    if len(triples) == 1:
-        return _power3(*triples[0], k)
-    if len(triples) == 2:
-        return _power9(triples[0], triples[1], k)
-    return lucas(triples) ** k
-
-
-def _power3(c: int, v: int, y: int, n: int) -> SquareMatrix:
-    e = SquareMatrix.all_ones(3)
-    disc = v * v - y * y
-    tail = 3 ** (n - 1) * c ** n
-    if n % 2:
-        head = 3 ** ((n - 1) // 2) * disc ** ((n - 1) // 2)
-        return head * (lucas3(c, v, y) - c * e) + tail * e
-    head = 3 ** (n // 2 - 1) * disc ** (n // 2)
-    return head * (3 * SquareMatrix.identity(3) - e) + tail * e
-
-
-def _power9(inner, outer, n: int) -> SquareMatrix:
-    c, v, y = inner
-    d, s, t = outer
-    e3 = SquareMatrix.all_ones(3)
-    i3 = SquareMatrix.identity(3)
-    e9 = SquareMatrix.all_ones(9)
-    disc_a = v * v - y * y
-    disc_b = s * s - t * t
-    tail = 9 ** (n - 1) * (c + d) ** n
-    if n % 2:
-        f = 3 ** (3 * (n - 1) // 2)
-        a9 = kron(e3, lucas3(c, v, y))
-        b9 = kron(lucas3(d, s, t), e3)
-        return (
-            f * disc_a ** ((n - 1) // 2) * (a9 - c * e9)
-            + f * disc_b ** ((n - 1) // 2) * (b9 - d * e9)
-            + tail * e9
-        )
-    f = 3 ** (3 * n // 2 - 2)
-    return (
-        f * disc_a ** (n // 2) * (3 * kron(e3, i3) - e9)
-        + f * disc_b ** (n // 2) * (3 * kron(i3, e3) - e9)
-        + tail * e9
-    )
+    level = len(triples)
+    blocks = []
+    for _, v, y in triples:
+        f = (v * v - y * y) ** (k // 2)  # zero factors skip the power of 3
+        if f:
+            f *= 3 ** ((k - 1) * (level - 1) + (k - 1) // 2)
+        base = lucas3(0, v, y).rows if k % 2 else _THREE_I_MINUS_E
+        blocks.append([[f * x for x in row] for row in base])
+    const = sum(c for c, _, _ in triples) ** k
+    if const:
+        const *= 3 ** (level * (k - 1))
+    blocks[0] = [[x + const for x in row] for row in blocks[0]]
+    return _block_sum(blocks)
 
 
 def lucas3_inverse(c: int, v: int, y: int) -> SquareMatrix:

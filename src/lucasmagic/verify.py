@@ -10,6 +10,7 @@ the test suite passes the screen while failing naturalness.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from fractions import Fraction
 
 from .exactmat import SquareMatrix
 from .construct import Triple, level_of_order, lucas
@@ -128,9 +129,9 @@ class VerificationReport:
 
     order: int
     is_magic: bool
-    summation_index: int | None
+    summation_index: int | Fraction | None
     is_regular: bool | None
-    frobenius_sq: int
+    frobenius_sq: int | Fraction
     fnc_pass: bool
     is_natural: bool
     exact_rank: int
@@ -138,6 +139,9 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         d = asdict(self)
+        for key in ("summation_index", "frobenius_sq"):
+            if isinstance(d[key], Fraction):  # rational entries: whole or "p/q"
+                d[key] = int(d[key]) if d[key].denominator == 1 else str(d[key])
         if self.lucas_params is not None:
             d["lucas_params"] = [list(t) for t in self.lucas_params]
         return d

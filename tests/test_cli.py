@@ -8,7 +8,7 @@ import pytest
 
 import lucasmagic
 from lucasmagic.cli import build_parser, main
-from lucasmagic.construct import frierson9, lucas, lucas3
+from lucasmagic.construct import frierson9, lucas, lucas3, parse_lucas_params
 from lucasmagic.exactmat import SquareMatrix
 from lucasmagic.spectra import lucas3_inverse
 
@@ -20,6 +20,18 @@ def run(capsys, *argv):
     rc = main(list(argv))
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+def _run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "lucasmagic", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def test_generate_grid(capsys):
@@ -145,14 +157,28 @@ def test_verify_malformed_grid(tmp_path, capsys):
 def test_verify_malformed_input_exits_2(tmp_path, name, text):
     f = tmp_path / name
     f.write_text(text)
-    env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lucasmagic", "verify", str(f)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_module("verify", str(f))
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text,mu,frob",
+    [
+        ("1/2 3\n5 7/3\n", None, "1429/36"),
+        ("7/5 0 1\n2/5 4/5 6/5\n3/5 8/5 1/5\n", "12/5", "204/25"),
+    ],
+)
+def test_verify_rational_entries(tmp_path, text, mu, frob):
+    f = tmp_path / "rational.txt"
+    f.write_text(text)
+    proc = _run_module("verify", str(f))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    obj = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert obj["summation_index"] == mu
+    assert obj["frobenius_sq"] == frob
 
 
 def test_round_trip_generate_verify(tmp_path, capsys):
@@ -175,6 +201,16 @@ def test_spectra_from_params(capsys):
     assert obj["eigenvalues"][1]["exact"] == "6*sqrt(6)"
     assert markdown.startswith("| params |")
     assert "| 4,3,1;36,27,9 | 6*sqrt(6) | 54*sqrt(6) | 12 | 6 | 108 | 54 |" in markdown
+
+
+@pytest.mark.parametrize("params", ["0,0,0", "1,0,0;-1,0,0"])
+def test_spectra_zero_square_is_valid_json(params):
+    proc = _run_module("spectra", "--params", params)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    obj = json.loads(proc.stdout.split("\n\n", 1)[0], parse_constant=_reject_constant)
+    assert obj["svd_residual"] == 0.0
+    assert obj["rank"] == 0
 
 
 def test_spectra_from_matrix_file(tmp_path, capsys):
@@ -209,6 +245,10 @@ def test_enumerate_fundamental_listing(capsys):
     rc, out, _ = run(capsys, "enumerate", "--level", "1", "--fundamental")
     assert rc == 0
     assert out == "4,-3,-1\n"
+    for level in ("0", "-1"):
+        rc, out, err = run(capsys, "enumerate", "--level", level, "--fundamental")
+        assert rc == 2 and out == ""
+        assert err == "error: level must be >= 1\n"
 
 
 def test_enumerate_count_only(capsys):
@@ -250,6 +290,13 @@ def test_power_level2(capsys):
     )
     assert rc == 0
     assert SquareMatrix.from_grid(out) == frierson9("A") ** 2
+
+
+def test_power_level3(capsys):
+    params = "4,3,-1;36,-9,27;324,81,243"
+    rc, out, _ = run(capsys, "power", "--params", params, "-k", "3")
+    assert rc == 0
+    assert SquareMatrix.from_grid(out) == lucas(parse_lucas_params(params)) ** 3
 
 
 def test_inverse(capsys):

@@ -79,6 +79,9 @@ def test_enumerate_level1():
     assert res.fundamental_count == 1
     assert res.representatives == (((4, -3, -1),),)
     assert res.sv_class_count == 1
+    for level in (0, -1):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            enumerate_fundamental(level)
 
 
 def test_enumerate_level2_both_families():
@@ -148,6 +151,9 @@ def test_sv_class_count():
     assert [sv_class_count(l) for l in (1, 2, 3)] == [1, 3, 15]
     assert sv_class_count(5, materialize=False) == 945
     assert sv_class_count(2, materialize=True) == 3
+    for level in (0, -1):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            sv_class_count(level, materialize=False)
 
 
 CENSUS = {

@@ -179,6 +179,13 @@ def test_matrix_power_order9_and_27():
         assert matrix_power(A_SET, k) == m9 ** k
     deep = ((4, 3, 1), (36, 27, 9), (324, 243, 81))
     assert matrix_power(deep, 2) == lucas(deep) ** 2
+    level4 = [
+        ((4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729)),
+        ((1, -2, 3), (-5, 4, -4), (2, 0, 1), (-3, 1, 2)),  # v = -y at level 2
+    ]
+    for triples in level4:
+        for k in (1, 2, 3):
+            assert matrix_power(triples, k) == lucas(triples) ** k
 
 
 def test_lucas3_inverse():
@@ -226,7 +233,20 @@ def test_eigenvalue_sums_match_traces(triples):
     assert sum(e.square() for e in evs) == (m @ m).trace()
 
 
-@given(st.tuples(signed, signed, signed), st.integers(min_value=1, max_value=5))
+@given(
+    st.lists(st.tuples(signed, signed, signed), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=5),
+)
 @settings(max_examples=40, deadline=None)
-def test_order3_power_closed_form(t, k):
-    assert matrix_power([t], k) == lucas3(*t) ** k
+def test_order3_power_closed_form(triples, k):
+    assert matrix_power(triples, k) == lucas(triples) ** k
+
+
+@pytest.mark.parametrize(
+    "triples",
+    [((0, 1, 1),), ((0, 1, 1), (0, 2, -2)), ((1, 1, 1), (0, 2, -2), (-1, 3, 3))],
+)
+def test_matrix_power_zero_factors_at_a_huge_exponent(triples):
+    # C = 0 and v = +-y at every level: every term of M^k is zero for k >= 2,
+    # so the closed form must not raise 3 to a billion-sized power first
+    assert matrix_power(triples, 10 ** 9) == SquareMatrix.zero(3 ** len(triples))
