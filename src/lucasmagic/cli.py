@@ -34,6 +34,7 @@ from .spectra import (
     _spectral_row,
     lucas3_inverse,
     matrix_power,
+    matrix_power_digits,
     spectrum_report,
     table1_row,
 )
@@ -191,6 +192,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_power(args) -> int:
     triples = _parse_family_params(args.family, args.params, args.level)
+    # Python < 3.10.7 has no limit on printed integers (reported as 0 here).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # One digit of slack: some entry has at least the largest term's digits
+    # minus one, so a refused power could not have been printed.
+    if limit and matrix_power_digits(triples, args.exponent) > limit + 1:
+        raise ValueError(
+            f"M^k would have entries of more than {limit} digits, "
+            "the limit for printing integers"
+        )
     _emit(_matrix_text(matrix_power(triples, args.exponent), args.format), args.out)
     return 0
 

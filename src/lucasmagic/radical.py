@@ -7,6 +7,15 @@ radicand is squarefree (negative radicands denote imaginary values, with
 radicals over the same radicand; :class:`RadicalSum` covers the general case
 (sums of radicals with distinct radicands), which is what products of
 eigenvector entries produce.
+
+The canonical form needs the squarefree part of each new radicand, which
+:func:`squarefree_split` finds by factoring: trial division by the numbers up
+to 1000, then Brent's variant of Pollard rho on what is left, with every piece
+proven prime by deterministic Miller-Rabin (bases 2..41 decide every number
+below 3,317,044,064,679,887,385,961,981).  A piece at or above that bound
+which the test cannot decide is split by trial division, as slow as that is,
+so no radicand is ever reduced on a probable prime.  Negation, absolute value
+and inverse start from a squarefree radicand and do not split again.
 """
 
 from __future__ import annotations
@@ -15,13 +24,25 @@ import math
 from fractions import Fraction
 
 
+_TRIAL_LIMIT = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Sorenson & Webster (2017): no composite below this passes all of _MR_BASES.
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Split n > 0 as k*k * f with f squarefree; returns (k, f)."""
+    """Split n > 0 as k*k * f with f squarefree; returns (k, f).
+
+    Trial division by 2 and the odd numbers up to 1000 (or up to sqrt(n)); a
+    cofactor left above 1000**2 is factored by :func:`_prime_factors`, which
+    proves each prime it returns.  The result is the exact factorization's,
+    the same as full trial division would give.
+    """
     if n <= 0:
         raise ValueError("squarefree_split needs a positive integer")
     k, f = 1, 1
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= _TRIAL_LIMIT:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -31,7 +52,105 @@ def squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 f *= p
         p += 1 if p == 2 else 2
-    return k, f * n
+    if p * p > n:  # n is 1 or a prime
+        return k, f * n
+    primes = _prime_factors(n)
+    for q in set(primes):
+        e = primes.count(q)
+        k *= q ** (e // 2)
+        if e % 2:
+            f *= q
+    return k, f
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n, with repetition, for an odd n > 1 with no
+    prime factor up to the trial-division limit.
+
+    Squares are split by isqrt (rho would cycle on p**2), composites by
+    Brent's rho, and a piece is kept as prime only when Miller-Rabin proves
+    it; otherwise (at or above the proven bound, or when rho gives up) the
+    piece's least divisor is found by trial division.
+    """
+    primes, todo = [], [n]
+    while todo:
+        m = todo.pop()
+        r = math.isqrt(m)
+        if r * r == m:
+            todo += (r, r)
+            continue
+        if _is_strong_probable_prime(m):
+            d = m if m < _MR_PROVEN_BELOW else _least_divisor(m)
+        else:
+            d = _brent_divisor(m) or _least_divisor(m)
+        if d == m:
+            primes.append(m)
+        else:
+            todo += (d, m // d)
+    return primes
+
+
+def _is_strong_probable_prime(m: int) -> bool:
+    """Miller-Rabin to every base in _MR_BASES, for an odd m > 41.
+
+    False proves m composite; True proves m prime below _MR_PROVEN_BELOW.
+    """
+    s = ((m - 1) & -(m - 1)).bit_length() - 1  # m - 1 = d * 2**s, d odd
+    d = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_divisor(n: int) -> int:
+    """A proper divisor of the odd composite non-square n, by Brent's cycle
+    finding on x -> x*x + c (Brent, BIT 20, 1980); 0 if every c tried fails.
+
+    The differences are multiplied together 128 at a time and one gcd taken
+    per batch; a batch whose gcd is n is replayed step by step.
+    """
+    batch = 128
+    for c in range(1, 16):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                done += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    return 0
+
+
+def _least_divisor(m: int) -> int:
+    """The least prime factor of an odd m > 1, by trial division."""
+    p = 3
+    while p * p <= m:
+        if m % p == 0:
+            return p
+        p += 2
+    return m
 
 
 class Radical:
@@ -53,6 +172,15 @@ class Radical:
         k, f = squarefree_split(abs(radicand))
         object.__setattr__(self, "coeff", coeff * k)
         object.__setattr__(self, "radicand", sign * f)
+
+    @classmethod
+    def _canonical(cls, coeff: Fraction, radicand: int) -> "Radical":
+        """A radical from a coefficient and radicand already in canonical
+        form (squarefree radicand, zero only as (0, 0)): no split."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "coeff", coeff)
+        object.__setattr__(r, "radicand", radicand)
+        return r
 
     def __setattr__(self, name, value):
         raise AttributeError("Radical is immutable")
@@ -78,10 +206,10 @@ class Radical:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Radical":
-        return Radical(-self.coeff, self.radicand)
+        return Radical._canonical(-self.coeff, self.radicand)
 
     def __abs__(self) -> "Radical":
-        return Radical(abs(self.coeff), abs(self.radicand))
+        return Radical._canonical(abs(self.coeff), abs(self.radicand))
 
     def __add__(self, other) -> "Radical":
         other = _coerce(other)
@@ -127,10 +255,8 @@ class Radical:
     def inverse(self) -> "Radical":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero radical")
-        a, d = self.coeff, self.radicand
-        if d > 0:
-            return Radical(Fraction(1) / (a * d), d)
-        return Radical(Fraction(-1) / (a * -d), d)
+        # 1/(a sqrt(d)) = sqrt(d)/(a d), and also for d < 0, where sqrt(d) = i sqrt(-d)
+        return Radical._canonical(1 / (self.coeff * self.radicand), self.radicand)
 
     def __truediv__(self, other) -> "Radical":
         other = _coerce(other)

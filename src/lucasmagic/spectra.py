@@ -16,6 +16,7 @@ singular-vector matrices are Kronecker products of order-3 factors
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -415,6 +416,41 @@ def matrix_power(triples, k: int) -> SquareMatrix:
         const *= 3 ** (level * (k - 1))
     blocks[0] = [[x + const for x in row] for row in blocks[0]]
     return _block_sum(blocks)
+
+
+def matrix_power_digits(triples, k: int) -> float:
+    """Decimal digits of the largest closed-form term of matrix_power(triples, k),
+    from logarithms: no power is formed, so this is cheap at any k.
+
+    The terms are, per level, d^(k//2) 3^((k-1)(l-1) + (k-1)//2) times the
+    level block's largest entry (|v|+|y| for odd k, 2 for even k), and the
+    constant C^k 3^(l(k-1)).  A zero term counts as zero digits.  Every entry
+    of M^k is a signed sum of one term per level plus the constant, and some
+    entry is at least three quarters of the largest term, so M^k has an entry
+    of at least this many digits minus one.  inf when k is too large for a float.
+    """
+    triples = normalize_triples(triples)
+    if k < 1:
+        raise ValueError("power must be a positive integer")
+    level = len(triples)
+    log3 = math.log10(3)
+    logs = []
+    try:
+        for _, v, y in triples:
+            d = v * v - y * y
+            top = abs(v) + abs(y) if k % 2 else 2
+            if top and (d or k == 1):
+                logs.append(
+                    (k // 2) * math.log10(abs(d) or 1)
+                    + ((k - 1) * (level - 1) + (k - 1) // 2) * log3
+                    + math.log10(top)
+                )
+        const = sum(c for c, _, _ in triples)
+        if const:
+            logs.append(k * math.log10(abs(const)) + level * (k - 1) * log3)
+        return max((math.floor(x) + 1 for x in logs), default=0)
+    except OverflowError:
+        return math.inf
 
 
 def lucas3_inverse(c: int, v: int, y: int) -> SquareMatrix:

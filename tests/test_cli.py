@@ -22,11 +22,11 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=60):
     env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]))
     return subprocess.run(
         [sys.executable, "-m", "lucasmagic", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -297,6 +297,31 @@ def test_power_level3(capsys):
     rc, out, _ = run(capsys, "power", "--params", params, "-k", "3")
     assert rc == 0
     assert SquareMatrix.from_grid(out) == lucas(parse_lucas_params(params)) ** 3
+
+
+def test_power_refuses_huge_entries_up_front():
+    proc = _run_module("power", "--params", "4,3,1", "-k", "100000000", timeout=5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_power_of_vanishing_terms_at_a_huge_exponent():
+    proc = _run_module("power", "--params", "0,1,1;0,2,-2", "-k", "1000000000", timeout=5)
+    assert proc.returncode == 0
+    assert proc.stdout == "0 0 0 0 0 0 0 0 0\n" * 9
+    assert proc.stderr == ""
+
+
+def test_spectra_prime_pair_radicand():
+    # 3 * (v - 1) * (v + 1) with both v -+ 1 prime near 1e9: trial division hung here
+    proc = _run_module("spectra", "--params", "1,1000000008,1", timeout=10)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    obj = json.loads(proc.stdout.split("\n\n", 1)[0])
+    evs = [e["exact"] for e in obj["eigenvalues"]]
+    assert evs == ["3", "1*sqrt(3000000048000000189)", "-1*sqrt(3000000048000000189)"]
 
 
 def test_inverse(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lucasmagic import radical
 from lucasmagic.radical import Radical, RadicalSum, squarefree_split
 
 
@@ -15,6 +16,92 @@ def test_squarefree_split():
         squarefree_split(0)
     with pytest.raises(ValueError):
         squarefree_split(-4)
+
+
+def _trial_division_split(n):
+    """Reference split: trial division by 2 and the odd numbers up to sqrt(n)."""
+    k, f = 1, 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            k *= p ** (e // 2)
+            if e % 2:
+                f *= p
+        p += 1 if p == 2 else 2
+    return k, f * n
+
+
+def test_squarefree_split_matches_trial_division_below_1e5():
+    for n in range(1, 10 ** 5):
+        assert squarefree_split(n) == _trial_division_split(n), n
+
+
+@given(st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=1, max_value=10 ** 6))
+def test_squarefree_split_of_square_times_b(a, b):
+    # trial division's answer for a*a*b is a times its answer for b
+    k, f = _trial_division_split(b)
+    assert squarefree_split(a * a * b) == (a * k, f)
+
+
+# strong pseudoprimes to the bases 2; 2..7; 2..23, and a Carmichael number
+PSEUDOPRIMES = (2047, 3215031751, 3825123056546413051, 561)
+PRIME_BELOW_BOUND = 3317044064679887385961813  # largest prime below the proven bound
+
+
+# the square of 3825123056546413051 is in the known-factor cases: trial division is too slow
+@pytest.mark.parametrize("n", [*PSEUDOPRIMES, 2047 ** 2, 3215031751 ** 2, 561 ** 2])
+def test_squarefree_split_pseudoprimes_match_trial_division(n):
+    assert squarefree_split(n) == _trial_division_split(n)
+
+
+def test_miller_rabin_rejects_the_pseudoprimes():
+    for m in PSEUDOPRIMES:
+        assert not radical._is_strong_probable_prime(m)
+    for p in (1000003, 1000000007, 999999999989, PRIME_BELOW_BOUND):
+        assert radical._is_strong_probable_prime(p)
+
+
+@pytest.mark.parametrize(
+    "n,expected",
+    [
+        (999983 * 1000003, (1, 999983 * 1000003)),
+        (3 * 999983 * 1000033, (1, 3 * 999983 * 1000033)),
+        (999999937 * 1000000007, (1, 999999937 * 1000000007)),
+        (3 * 1000000007 * 1000000009, (1, 3000000048000000189)),
+        (999983 ** 2, (999983, 1)),
+        (12 * 1000003 ** 2, (2 * 1000003, 3)),
+        (999983 ** 3 * 1000033, (999983, 999983 * 1000033)),
+        (999999999989 ** 2, (999999999989, 1)),
+        (999999999989 ** 2 * 1000000007, (999999999989, 1000000007)),
+        (3825123056546413051 ** 2, (3825123056546413051, 1)),
+        (3825123056546413051 * 34233211, (34233211, 149491 * 747451)),
+        (PRIME_BELOW_BOUND, (1, PRIME_BELOW_BOUND)),
+        (PRIME_BELOW_BOUND ** 2 * 1000003, (PRIME_BELOW_BOUND, 1000003)),
+    ],
+)
+def test_squarefree_split_known_factors(n, expected):
+    assert squarefree_split(n) == expected
+
+
+@pytest.mark.parametrize("patch", ["proven_bound", "rho"])
+def test_squarefree_split_falls_back_to_trial_division(monkeypatch, patch):
+    # an undecided piece, or a composite rho gives up on, is split by trial division
+    if patch == "proven_bound":
+        monkeypatch.setattr(radical, "_MR_PROVEN_BELOW", 10 ** 7)
+    else:
+        monkeypatch.setattr(radical, "_brent_divisor", lambda n: 0)
+    seen = []
+    least = radical._least_divisor
+    monkeypatch.setattr(radical, "_least_divisor", lambda m: seen.append(m) or least(m))
+    n = 3 * 1009 ** 2 * 10007 * 1000000007
+    assert squarefree_split(n) == (1009, 3 * 10007 * 1000000007)
+    assert seen
+    if patch == "proven_bound":
+        assert 1000000007 in seen
 
 
 def test_normalization():
@@ -124,6 +211,12 @@ def test_renormalization_is_idempotent(a, d):
     r = Radical(a, d)
     assert Radical(r.coeff, r.radicand) == r
     assert Radical.from_json(r.to_json()) == r
+    # negation, abs and inverse skip the split; they must agree with it
+    assert repr(-r) == repr(Radical(-r.coeff, r.radicand))
+    assert repr(abs(r)) == repr(Radical(abs(r.coeff), abs(r.radicand)))
+    if not r.is_zero():
+        assert r * r.inverse() == Radical(1)
+        assert repr(r.inverse()) == repr(Radical(r.inverse().coeff, r.inverse().radicand))
 
 
 @given(coeffs, st.integers(min_value=0, max_value=60), coeffs)

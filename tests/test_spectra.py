@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lucasmagic import radical
 from lucasmagic.construct import frierson_to_lucas, lucas, lucas3, magic_index
 from lucasmagic.exactmat import SquareMatrix, commutator
 from lucasmagic.radical import Radical, RadicalSum
@@ -14,6 +16,7 @@ from lucasmagic.spectra import (
     lam,
     lucas3_inverse,
     matrix_power,
+    matrix_power_digits,
     nonzero_count,
     orthonormality_residual,
     rad_kron,
@@ -250,3 +253,48 @@ def test_matrix_power_zero_factors_at_a_huge_exponent(triples):
     # C = 0 and v = +-y at every level: every term of M^k is zero for k >= 2,
     # so the closed form must not raise 3 to a billion-sized power first
     assert matrix_power(triples, 10 ** 9) == SquareMatrix.zero(3 ** len(triples))
+
+
+def test_eigenvalues_split_each_radicand_once(monkeypatch):
+    # v -+ y are twin primes near 1e6 and 1e9; c sums to 0, so mu needs no split
+    triples = ((1, 1000038, 1), (0, 1000000008, 1), (-1, 1000038, -1))
+    calls = []
+    split = radical.squarefree_split
+    monkeypatch.setattr(radical, "squarefree_split", lambda n: calls.append(n) or split(n))
+    evs = eigenvalues(triples)
+    assert sorted(calls) == sorted(3 * (v * v - y * y) for _, v, y in triples)
+    r = evs[1]
+    expected = (evs[2], r, r, Radical(1) / r)
+    calls.clear()
+    assert (-r, abs(r), abs(-r), r.inverse()) == expected
+    assert calls == []
+
+
+@given(
+    st.lists(st.tuples(signed, signed, signed), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_matrix_power_digits_bound_the_entries(triples, k):
+    digits = max(len(str(abs(x))) for row in matrix_power(triples, k).to_lists() for x in row)
+    expected = matrix_power_digits(triples, k)
+    if expected == 0:
+        assert matrix_power(triples, k) == SquareMatrix.zero(3 ** len(triples))
+    else:
+        assert expected - 1 <= digits <= expected + 1
+
+
+@pytest.mark.parametrize("triples", [((0, 3, 1),), ((0, 0, 0), (0, 7, -2)), ((2, 0, 0), (3, 0, 0))])
+@pytest.mark.parametrize("k", [1, 2, 3, 50, 101, 500])
+def test_matrix_power_digits_of_a_single_term(triples, k):
+    # one nonzero term, so the largest entry is that term's largest multiple
+    entries = matrix_power(triples, k).to_lists()
+    assert matrix_power_digits(triples, k) == max(len(str(abs(x))) for row in entries for x in row)
+
+
+def test_matrix_power_digits_at_huge_exponents():
+    assert matrix_power_digits(((4, 3, 1),), 10 ** 8) > 10 ** 7
+    assert matrix_power_digits(((4, 3, 1),), 10 ** 400) == math.inf
+    assert matrix_power_digits(((0, 1, 1), (0, 2, -2)), 10 ** 400) == 0
+    with pytest.raises(ValueError, match="positive"):
+        matrix_power_digits(((4, 3, 1),), 0)
