@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -351,11 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_params(argv: list[str]) -> list[str]:
+    """Rewrite ``--params VALUE`` as ``--params=VALUE`` when VALUE starts
+    with a minus sign and a digit, which argparse would read as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--params" and re.match(r"-\d", arg):
+            out[-1] = f"--params={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_params(argv))
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

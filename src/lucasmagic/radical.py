@@ -14,8 +14,14 @@ to 1000, then Brent's variant of Pollard rho on what is left, with every piece
 proven prime by deterministic Miller-Rabin (bases 2..41 decide every number
 below 3,317,044,064,679,887,385,961,981).  A piece at or above that bound
 which the test cannot decide is split by trial division, as slow as that is,
-so no radicand is ever reduced on a probable prime.  Negation, absolute value
-and inverse start from a squarefree radicand and do not split again.
+so no radicand is ever reduced on a probable prime.
+
+Only new radicands are factored.  Products and sums never are: negation,
+absolute value, inverse and sums keep a squarefree radicand, and the product
+of squarefree d and e is g**2 times the squarefree (d/g)(e/g), g = gcd(d, e),
+so it costs one gcd (Cohen, A Course in Computational Algebraic Number
+Theory, section 1.7).  A RadicalSum adds the coefficients of canonical terms,
+so it never splits either.
 """
 
 from __future__ import annotations
@@ -224,7 +230,8 @@ class Radical:
                 f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) "
                 "terms exactly; use RadicalSum"
             )
-        return Radical(self.coeff + other.coeff, self.radicand)
+        c = self.coeff + other.coeff
+        return Radical._canonical(c, self.radicand) if c else Radical(0, 0)
 
     __radd__ = __add__
 
@@ -243,12 +250,16 @@ class Radical:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Radical(0, 0)
-        a, d = self.coeff, self.radicand
-        b, e = other.coeff, other.radicand
-        if d < 0 and e < 0:
-            # i*sqrt(|d|) * i*sqrt(|e|) = -sqrt(|d|*|e|)
-            return Radical(-(a * b), abs(d) * abs(e))
-        return Radical(a * b, d * e)
+        # sqrt(d) sqrt(e) = g sqrt((d/g)(e/g)) with g = gcd(d, e): d/g and e/g
+        # are coprime and squarefree, so their product is too; no split
+        a, b = self.coeff, other.coeff
+        d, e = self.radicand, other.radicand
+        g = math.gcd(d, e)
+        coeff = Fraction(a.numerator * b.numerator * g, a.denominator * b.denominator)
+        f = abs(d * e) // (g * g)
+        if d < 0 and e < 0:  # i*sqrt(|d|) * i*sqrt(|e|) = -sqrt(|d|*|e|)
+            return Radical._canonical(-coeff, f)
+        return Radical._canonical(coeff, -f if d < 0 or e < 0 else f)
 
     __rmul__ = __mul__
 
@@ -351,7 +362,7 @@ def _coerce(x) -> Radical | None:
     if isinstance(x, Radical):
         return x
     if isinstance(x, (int, Fraction)):
-        return Radical(x)
+        return Radical._canonical(Fraction(x), 1) if x else Radical(0, 0)
     return None
 
 
@@ -366,19 +377,18 @@ class RadicalSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
+        # the terms are canonical, so each kept (coefficient, radicand) is too
         acc: dict[int, Fraction] = {}
         for t in self._iter_terms(terms):
-            if t.is_zero():
-                continue
-            acc[t.radicand] = acc.get(t.radicand, Fraction(0)) + t.coeff
+            d = t.radicand
+            if d in acc:
+                acc[d] += t.coeff
+            elif d:
+                acc[d] = t.coeff
         object.__setattr__(
             self,
             "_terms",
-            tuple(
-                Radical(c, d)
-                for d, c in sorted(acc.items())
-                if c != 0
-            ),
+            tuple(Radical._canonical(c, d) for d, c in sorted(acc.items()) if c),
         )
 
     @staticmethod
@@ -430,11 +440,7 @@ class RadicalSum:
         other = _coerce_sum(other)
         if other is None:
             return NotImplemented
-        out = []
-        for a in self._terms:
-            for b in other._terms:
-                out.append(a * b)
-        return RadicalSum(out)
+        return RadicalSum([a * b for a in self._terms for b in other._terms])
 
     __rmul__ = __mul__
 

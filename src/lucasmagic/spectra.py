@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .construct import _block_sum, normalize_triples, lucas, lucas3, magic_index
 from .exactmat import SquareMatrix
 from .radical import Radical, RadicalSum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def lam(v: int, y: int) -> Radical:
@@ -155,6 +157,8 @@ class RadMatrix:
         return RadMatrix([[row[j] for j in order] for row in self.rows])
 
     def to_complex(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(
             [[complex(x) for x in row] for row in self.rows], dtype=complex
         )
@@ -165,6 +169,8 @@ class RadMatrix:
 
 
 def rad_kron(a: RadMatrix, b: RadMatrix) -> RadMatrix:
+    """The Kronecker product a (x) b: the tests' reference for the factor
+    matrices, which the library builds over base-3 digits instead."""
     na, nb = a.n, b.n
     return RadMatrix(
         [
@@ -240,11 +246,9 @@ def jcf_matrices(triples) -> DecompositionMatrices:
             raise ValueError(
                 f"degenerate level (v, y) = ({v}, {y}): eigenvector matrix undefined"
             )
-    s = s3(triples[-1][1], triples[-1][2])
-    for c, v, y in reversed(triples[:-1]):
-        s = rad_kron(s, s3(v, y))
+    factors = [s3(v, y).rows for _, v, y in triples]
     return DecompositionMatrices(
-        s=s.permute_columns(_block_columns(len(triples))),
+        s=_block_product(factors, _block_columns(len(triples))),
         d=tuple(eigenvalues(triples)),
     )
 
@@ -256,33 +260,55 @@ def svd_matrices(triples) -> DecompositionMatrices:
     3^(l-1) psi_i) is negated, so sigma holds their absolute values.
     """
     triples = normalize_triples(triples)
-    u = U3
-    v = V3
-    for _ in triples[1:]:
-        u = rad_kron(U3, u)
-        v = rad_kron(V3, v)
-    sigma = singular_values(triples)
+    level = len(triples)
     signed = [magic_index(triples), *_phi_psi_coeffs(triples)]
-    signs = [-1 if w < 0 else 1 for w in signed] + [1] * (len(sigma) - len(signed))
-    order = _block_columns(len(triples))
+    negated = {p for p, w in enumerate(signed) if w < 0}
+    order = _block_columns(level)
     return DecompositionMatrices(
-        u=u.permute_columns(order).scale_columns(signs),
-        v=v.permute_columns(order),
-        sigma=tuple(sigma),
+        u=_block_product([U3.rows] * level, order, negated),
+        v=_block_product([V3.rows] * level, order),
+        sigma=tuple(singular_values(triples)),
+    )
+
+
+def _block_product(blocks, columns, negated=frozenset()) -> RadMatrix:
+    """The matrix whose entry (i, p) is the product over k of
+    blocks[k][d_k(i)][d_k(columns[p])], negated when p is in negated, with
+    d_k the k-th base-3 digit (blocks[0] the least significant): the
+    multiplicative twin of construct._block_sum.
+
+    This is the Kronecker product of the blocks, outermost on the left, with
+    its columns taken in the given order and the flagged ones negated.
+    """
+    rows = blocks[0]
+    for block in blocks[1:]:
+        rows = [
+            [s * x for s in outer_row for x in r] for outer_row in block for r in rows
+        ]
+    return RadMatrix(
+        [
+            [-row[j] if p in negated else row[j] for p, j in enumerate(columns)]
+            for row in rows
+        ]
     )
 
 
 # ---------------------------------------------------------------------------
-# Numeric residuals (floating point enters here only)
+# Numeric residuals (floating point enters here only, and numpy is imported
+# here only, so a process that computes no residual never loads it)
 # ---------------------------------------------------------------------------
 
 
 def _diag_complex(values) -> np.ndarray:
+    import numpy as np
+
     return np.diag([complex(r) for r in values])
 
 
 def jcf_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
     """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0)."""
+    import numpy as np
+
     a = np.array(m.to_lists(), dtype=float)
     s = dec.s.to_complex()
     d = _diag_complex(dec.d)
@@ -291,6 +317,8 @@ def jcf_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
 
 def svd_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
     """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0)."""
+    import numpy as np
+
     a = np.array(m.to_lists(), dtype=float)
     u = dec.u.to_complex().real
     v = dec.v.to_complex().real
@@ -300,6 +328,8 @@ def svd_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
 
 def orthonormality_residual(mat: RadMatrix) -> float:
     """|| Q^T Q - I ||_F for a real radical matrix Q."""
+    import numpy as np
+
     q = mat.to_complex().real
     return float(np.linalg.norm(q.T @ q - np.eye(mat.n)))
 

@@ -324,6 +324,41 @@ def test_spectra_prime_pair_radicand():
     assert evs == ["3", "1*sqrt(3000000048000000189)", "-1*sqrt(3000000048000000189)"]
 
 
+def test_spectra_overflowing_residual_exits_2():
+    # the exact values are fine; the float residual cannot hold 2**1100
+    proc = _run_module("spectra", f"--params=0,{2 ** 1100},0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--params", "-16,-28,5"),
+        ("power", "--params", "-16,-28,5;3,-1,2", "-k", "3"),
+        ("spectra", "--params", "-4,-3,1;36,27,-9"),
+    ],
+)
+def test_params_value_may_start_with_a_minus(capsys, argv):
+    cmd, _, value, *rest = argv
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert (rc, out, err) == run(capsys, cmd, f"--params={value}", *rest)
+
+
+def test_library_and_generate_do_not_load_numpy():
+    code = (
+        "import sys, lucasmagic.cli as cli\n"
+        "cli.main(['generate', '--params=4,3,1'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_inverse(capsys):
     rc, out, _ = run(capsys, "inverse", "--params", "4,3,1")
     assert rc == 0

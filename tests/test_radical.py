@@ -256,3 +256,42 @@ def test_radical_sum_product_matches_complex(xs, ys):
     got = complex(a * b)
     want = complex(a) * complex(b)
     assert abs(got - want) < 1e-6 * max(1.0, abs(want))
+
+
+def _signed_squarefree(n):
+    """n's squarefree part with n's sign (0 for 0), by trial division."""
+    return 0 if n == 0 else (1 if n > 0 else -1) * _trial_division_split(abs(n))[1]
+
+
+squarefree_radicands = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2, 3, -3, 6, -6]),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(_signed_squarefree),
+)
+
+
+@given(coeffs, squarefree_radicands, coeffs, squarefree_radicands)
+def test_product_matches_the_splitting_constructor(a, d, b, e):
+    # the product takes one gcd; the reference splits the radicand d*e again
+    if d < 0 and e < 0:
+        want = Radical(-(a * b), abs(d) * abs(e))
+    else:
+        want = Radical(a * b, d * e)
+    got = Radical(a, d) * Radical(b, e)
+    assert repr(got) == repr(want)
+    assert str(got) == str(want) and hash(got) == hash(want)
+
+
+@given(st.lists(st.tuples(coeffs, radicands), max_size=40))
+def test_radical_sum_of_overlapping_terms(terms):
+    rads = [Radical(c, d) for c, d in terms]
+    one_by_one = RadicalSum()
+    for r in rads:
+        one_by_one = one_by_one + r
+    assert RadicalSum(rads) == one_by_one
+    # the reference groups by radicand and splits each total again
+    totals = {}
+    for r in rads:
+        if not r.is_zero():
+            totals[r.radicand] = totals.get(r.radicand, 0) + r.coeff
+    want = tuple(Radical(c, d) for d, c in sorted(totals.items()) if c)
+    assert repr(RadicalSum(rads).terms()) == repr(want)

@@ -9,6 +9,8 @@ from lucasmagic.construct import frierson_to_lucas, lucas, lucas3, magic_index
 from lucasmagic.exactmat import SquareMatrix, commutator
 from lucasmagic.radical import Radical, RadicalSum
 from lucasmagic.spectra import (
+    U3,
+    V3,
     RadMatrix,
     eigenvalues,
     jcf_matrices,
@@ -20,6 +22,7 @@ from lucasmagic.spectra import (
     nonzero_count,
     orthonormality_residual,
     rad_kron,
+    s3,
     singular_values,
     sorted_singular_values,
     spectrum_report,
@@ -298,3 +301,56 @@ def test_matrix_power_digits_at_huge_exponents():
     assert matrix_power_digits(((0, 1, 1), (0, 2, -2)), 10 ** 400) == 0
     with pytest.raises(ValueError, match="positive"):
         matrix_power_digits(((4, 3, 1),), 0)
+
+
+def _kron_columns(level):
+    """The Kronecker column of each block-order slot: mu, the level pairs, zeros."""
+    head = [0] + [j * 3 ** k for k in range(level) for j in (1, 2)]
+    return head + [j for j in range(3 ** level) if j not in head]
+
+
+def _kron_chain_factors(triples):
+    """The decomposition factors as rad_kron chains (outermost factor on the
+    left), with the columns permuted and the U columns scaled by +-1."""
+    order = _kron_columns(len(triples))
+    s = None
+    if all(v * v != y * y for _, v, y in triples):
+        s = s3(*triples[-1][1:])
+        for _, v, y in reversed(triples[:-1]):
+            s = rad_kron(s, s3(v, y))
+        s = s.permute_columns(order)
+    u, v = U3, V3
+    for _ in triples[1:]:
+        u, v = rad_kron(U3, u), rad_kron(V3, v)
+    signed = [magic_index(triples)] + [w for _, a, b in triples for w in (a + b, a - b)]
+    signs = [-1 if w < 0 else 1 for w in signed] + [1] * (3 ** len(triples) - len(signed))
+    return s, u.permute_columns(order).scale_columns(signs), v.permute_columns(order)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_factors_match_the_kron_chain(level):
+    rng = random.Random(level)
+    cases = [[(rng.randint(-40, 40), rng.randint(-20, 20), rng.randint(-20, 20))
+              for _ in range(level)] for _ in range(6 if level < 3 else 2)]
+    cases.append([(1, 2, 2)] + [(3, 1, -1)] * (level - 1))  # v = +-y: no S
+    for triples in cases:
+        s, u, v = _kron_chain_factors(triples)
+        if s is None:
+            with pytest.raises(ValueError):
+                jcf_matrices(triples)
+        else:
+            assert jcf_matrices(triples).s.rows == s.rows
+        dec = svd_matrices(triples)
+        assert dec.u.rows == u.rows
+        assert dec.v.rows == v.rows
+
+
+def test_spectrum_report_splits_a_few_radicands_per_level(monkeypatch):
+    triples = ((4, 3, 1), (36, 27, 9), (324, 243, 81))
+    calls = []
+    split = radical.squarefree_split
+    monkeypatch.setattr(radical, "squarefree_split", lambda n: calls.append(n) or split(n))
+    spectrum_report(triples)
+    # the splits are the closed-form values' own radicands; the factor
+    # matrices' products and sums split nothing
+    assert len(calls) <= 10 * len(triples)
