@@ -29,7 +29,7 @@ from .construct import (
     parse_frierson_params,
     parse_lucas_params,
 )
-from .enumeration import census, enumerate_fundamental
+from .enumeration import census, census_digits, enumerate_fundamental
 from .exactmat import SquareMatrix
 from .spectra import (
     _spectral_row,
@@ -166,7 +166,24 @@ def _cmd_spectra(args) -> int:
     return 0
 
 
+def _refuse_unprintable(digits: float, what: str) -> None:
+    """Raise ValueError when an integer of `digits` decimal digits is past
+    Python's limit for printing integers (Python < 3.10.7 has none,
+    reported as 0 here).  `digits` may read one digit high, never more, so
+    with one digit of slack a refused integer could not have been printed.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit + 1:
+        raise ValueError(
+            f"{what} of more than {limit} digits, the limit for printing integers"
+        )
+
+
 def _cmd_enumerate(args) -> int:
+    _refuse_unprintable(
+        census_digits(args.level, args.family if args.fundamental else None),
+        f"enumerate --level {args.level} would print integers",
+    )
     if not args.fundamental:
         print(json.dumps(census(args.level).to_json(), indent=2))
         return 0
@@ -193,15 +210,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_power(args) -> int:
     triples = _parse_family_params(args.family, args.params, args.level)
-    # Python < 3.10.7 has no limit on printed integers (reported as 0 here).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # One digit of slack: some entry has at least the largest term's digits
-    # minus one, so a refused power could not have been printed.
-    if limit and matrix_power_digits(triples, args.exponent) > limit + 1:
-        raise ValueError(
-            f"M^k would have entries of more than {limit} digits, "
-            "the limit for printing integers"
-        )
+    # Some entry has at least the largest term's digits minus one.
+    _refuse_unprintable(
+        matrix_power_digits(triples, args.exponent), "M^k would have entries"
+    )
     _emit(_matrix_text(matrix_power(triples, args.exponent), args.format), args.out)
     return 0
 

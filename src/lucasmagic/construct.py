@@ -206,7 +206,10 @@ def canonical_phase(m: SquareMatrix) -> SquareMatrix:
 def canonical_parameters(triples) -> tuple[Triple, ...]:
     """The lexicographically smallest of the 8 phase images of the params."""
     triples = normalize_triples(triples)
-    return min(phase_parameters(triples, p) for p in PHASE_NAMES)
+    return min(
+        tuple((c,) + act(v, y) for c, v, y in triples)
+        for act, _ in PHASE_ACTIONS.values()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,22 @@
 
 At level l the natural squares assign the magnitudes 3^0 .. 3^(2l-1), in
 any order and (for the Lucas family) any signs, to v_1, y_1, ..., v_l, y_l
-with c_i = |v_i| + |y_i|.  Dedup by the 8 dihedral phases then gives the
+with c_i = |v_i| + |y_i|.  Up to the 8 dihedral phases that gives the
 fundamental counts: 2^(2l) (2l)! / 8 for Lucas and (2l)!/2 for Frierson.
 Everything here works in parameter space — phases act faithfully on
 parameters, so orbits of parameter tuples are orbits of matrices.
+
+The orbit representatives are built directly, in sorted order, by
+`fundamental_representatives`; deduplicating the full assignment stream by
+`canonical_parameters` gives the same tuple and stays as the tests' oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial
+from math import factorial, floor, inf, isqrt, lgamma, log, log10
 
 from .construct import (
     Triple,
@@ -86,6 +91,42 @@ def natural_parameter_assignments(level: int, family: str = "lucas"):
             )
 
 
+def fundamental_representatives(level: int, family: str = "lucas"):
+    """Yield the canonical form of every phase orbit of natural assignments,
+    in ascending order: exactly the tuple
+    sorted(set(canonical_parameters(t) for t in
+    natural_parameter_assignments(level, family))), without visiting it.
+
+    A natural assignment has |v_1| != |y_1|, so the 8 phase images of level
+    1 are distinct and the smallest has (v_1, y_1) = (-max, -min).  That one
+    phase acts on every level, so the other levels take any two unused
+    magnitudes in either order with every sign (Lucas) or both negative
+    (Frierson).  Each level's candidates are sorted, so a depth-first walk
+    yields the tuples in lexicographic order; it holds one candidate list
+    per level.
+    """
+    if family not in ("lucas", "frierson"):
+        raise ValueError(f"unknown family {family!r}")
+    _check_level(level)
+    signs = tuple(product((1, -1), repeat=2)) if family == "lucas" else ((-1, -1),)
+
+    def walk(prefix, free):
+        if not free:
+            yield prefix
+            return
+        pairs = [(a, b) for a in free for b in free if a != b]
+        if prefix:
+            candidates = sorted(
+                (a + b, sa * a, sb * b) for a, b in pairs for sa, sb in signs
+            )
+        else:
+            candidates = sorted((a + b, -a, -b) for a, b in pairs if a > b)
+        for c, v, y in candidates:
+            yield from walk(prefix + ((c, v, y),), free - {abs(v), abs(y)})
+
+    yield from walk((), frozenset(3 ** k for k in range(2 * level)))
+
+
 @dataclass(frozen=True)
 class EnumerationResult:
     level: int
@@ -116,9 +157,11 @@ def enumerate_fundamental(
 ) -> EnumerationResult:
     """Count (and below the ceiling, materialize) the fundamental squares.
 
-    Materialized runs dedup the full assignment stream by canonical phase
-    form and cross-check the count against the closed formula; beyond the
-    ceiling only the formulas are used and representatives are None.
+    Materialized runs take the representatives from
+    fundamental_representatives and cross-check them: their number must be
+    the closed formula and each must be its own canonical_parameters.
+    Beyond the ceiling only the formulas are used and representatives are
+    None.
     """
     _check_level(level)
     formula = (
@@ -134,17 +177,14 @@ def enumerate_fundamental(
             )
         reps = None
     else:
-        seen = set()
-        count = 0
-        for triples in natural_parameter_assignments(level, family):
-            count += 1
-            seen.add(canonical_parameters(triples))
-        if count != total or len(seen) != formula:
+        reps = tuple(fundamental_representatives(level, family))
+        if len(reps) != formula:
             raise AssertionError(
-                f"dedup ({len(seen)}/{count}) disagrees with formula "
-                f"({formula}/{total})"
+                f"{len(reps)} representatives disagree with formula ({formula})"
             )
-        reps = tuple(sorted(seen))
+        for rep in reps:
+            if canonical_parameters(rep) != rep:
+                raise AssertionError(f"representative {rep} is not canonical")
     return EnumerationResult(
         level=level,
         family=family,
@@ -175,7 +215,8 @@ def fnc_integer_solutions(level: int, require_distinct: bool = True):
     (9**level - 1) // 2 -- the magic constant divided by 3**level, since
     every centre offset is |v_i| + |y_i| and the smallest element must
     land on zero.  This solves that two-equation system exhaustively and
-    returns the solutions as ascending tuples.
+    returns the solutions as ascending tuples; the search runs over all but
+    the last two values, which the two equations then fix in closed form.
 
     The square condition alone is weaker: at level 2 it already admits
     ten distinct-positive solutions, of which only (1, 3, 9, 27) also
@@ -192,10 +233,17 @@ def fnc_integer_solutions(level: int, require_distinct: bool = True):
     out = []
 
     def extend(prefix, lo, lin_rem, quad_rem, k):
-        if k == 1:
-            # the linear equation pins the last value
-            if lin_rem >= lo and lin_rem * lin_rem == quad_rem:
-                out.append(prefix + (lin_rem,))
+        if k == 2:
+            # x + y = lin_rem and x^2 + y^2 = quad_rem pin the last two
+            # values: (y - x)^2 = 2 quad_rem - lin_rem^2, so y - x has the
+            # parity of lin_rem and x = (lin_rem - (y - x)) / 2 is whole
+            gap = 2 * quad_rem - lin_rem * lin_rem
+            if gap < 0:
+                return
+            r = isqrt(gap)
+            x = (lin_rem - r) // 2
+            if r * r == gap and r >= step and x >= lo:
+                out.append(prefix + (x, x + r))
             return
         # cheapest tail is lo, lo+step, lo+2*step, ...
         if k * lo + step * k * (k - 1) // 2 > lin_rem:
@@ -223,22 +271,19 @@ def sv_class_count(level: int, materialize: bool | None = None) -> int:
     """(2l-1)!! distinct singular-value multisets among the fundamentals.
 
     For small levels (<= 3 by default) the count is double-checked by
-    actually collecting the multisets over all fundamental Frierson
-    squares; a mismatch would raise.
+    actually collecting the multisets over the fundamental Frierson
+    representatives; a mismatch would raise.  Each multiset is keyed by
+    its value counts, which needs no ordering of the radicals.
     """
     _check_level(level)
     formula = double_factorial_odd(level)
     if materialize is None:
         materialize = level <= MATERIALIZATION_CEILING
     if materialize:
-        classes = set()
-        seen = set()
-        for triples in natural_parameter_assignments(level, "frierson"):
-            canon = canonical_parameters(triples)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            classes.add(tuple(sorted(singular_values(triples))))
+        classes = {
+            frozenset(Counter(singular_values(rep)).items())
+            for rep in fundamental_representatives(level, "frierson")
+        }
         if len(classes) != formula:
             raise AssertionError(
                 f"materialized sv classes {len(classes)} != formula {formula}"
@@ -281,3 +326,30 @@ def census(level: int) -> CensusRow:
         rank=2 * level + 1,
         sv_classes=double_factorial_odd(level),
     )
+
+
+def census_digits(level: int, family: str | None = None) -> float:
+    """Decimal digits of the largest integer in census(level), or with a
+    family, of that family's fundamental count, from logarithms: no
+    factorial is formed, so this is cheap at any level.
+
+    mu is taken as 27^l / 2, and it bounds the order and the rank; the
+    Lucas count bounds the Frierson count and the sv classes.  The estimate
+    is the true number of digits or one more.  0 below level 1, inf when the
+    level is too large for a float.
+    """
+    if level < 1:
+        return 0
+    try:
+        log_fact = lgamma(2 * level + 1) / log(10)
+        logs = {
+            "lucas": log_fact + (2 * level - 3) * log10(2),
+            "frierson": log_fact - log10(2),
+        }
+        if family is None:
+            top = max(logs["lucas"], 3 * level * log10(3) - log10(2))
+        else:
+            top = logs[family]
+        return floor(max(top, 0)) + 1
+    except OverflowError:
+        return inf

@@ -141,6 +141,13 @@ def test_criterion_03_census_table_and_materialized_dedup():
     assert lu3.fundamental_count == 5760 and len(lu3.representatives) == 5760
     assert fr3.fundamental_count == 360 and len(fr3.representatives) == 360
     assert elapsed < 120.0
+    # the materialized dedup over every natural assignment is the oracle
+    for result in (lu2, fr2, lu3, fr3):
+        dedup = {
+            canonical_parameters(t)
+            for t in natural_parameter_assignments(result.level, result.family)
+        }
+        assert result.representatives == tuple(sorted(dedup))
     _passed(
         "criterion 3: census rows 1..6 + dedup 48/12 and 5760/360",
         f"level-3 dedup {elapsed:.1f}s",

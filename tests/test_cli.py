@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import lucasmagic
-from lucasmagic.cli import build_parser, main
+from lucasmagic.cli import _refuse_unprintable, build_parser, main
 from lucasmagic.construct import frierson9, lucas, lucas3, parse_lucas_params
+from lucasmagic.enumeration import census, frierson_fundamental_formula, lucas_fundamental_formula
 from lucasmagic.exactmat import SquareMatrix
 from lucasmagic.spectra import lucas3_inverse
 
@@ -276,6 +277,49 @@ def test_enumerate_emit(tmp_path, capsys):
     assert len(grids) == 12
     first = SquareMatrix.from_grid(grids[0].read_text())
     assert first.n == 9
+
+
+@pytest.mark.parametrize(
+    "extra,count",
+    [
+        ((), None),
+        (("--fundamental",), lucas_fundamental_formula),
+        (("--fundamental", "--family", "frierson", "--count-only"), frierson_fundamental_formula),
+    ],
+)
+def test_enumerate_refuses_unprintable_levels_up_front(extra, count):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python prints integers of any length")
+
+    def printed(level):
+        if count is None:
+            return list(census(level).to_json().values())
+        return [count(level)]
+
+    level = 1
+    while max(printed(level + 1)) < 10 ** limit:
+        level += 1
+    proc = _run_module("enumerate", "--level", str(level), *extra)
+    assert proc.returncode == 0 and proc.stderr == ""
+    if count is None:
+        assert proc.stdout == json.dumps(census(level).to_json(), indent=2) + "\n"
+    else:
+        assert proc.stdout == f"{count(level)}\n"
+    # an estimate may read one digit high, so only limit + 2 digits refuse
+    _refuse_unprintable(limit + 1, "one digit over")
+    with pytest.raises(ValueError, match=f"of more than {limit} digits"):
+        _refuse_unprintable(limit + 2, "two digits over")
+    for refused in (level + 1, 100000, 10**6):
+        proc = _run_module("enumerate", "--level", str(refused), *extra, timeout=2)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        if refused > level + 1:
+            assert proc.stderr == (
+                f"error: enumerate --level {refused} would print integers of more "
+                f"than {limit} digits, the limit for printing integers\n"
+            )
 
 
 def test_power_matches_exact_multiplication(capsys):

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lucasmagic import enumeration
 from lucasmagic.construct import canonical_parameters, lucas
 from lucasmagic.enumeration import (
     CensusRow,
@@ -14,6 +17,7 @@ from lucasmagic.enumeration import (
     fnc_integer_solutions,
     frierson_fundamental_formula,
     frierson_total,
+    fundamental_representatives,
     lucas_fundamental_formula,
     lucas_total,
     natural_parameter_assignments,
@@ -71,6 +75,8 @@ def test_frierson_assignments_are_unsigned():
     assert set(got) == {((4, 1, 3),), ((4, 3, 1),)}
     with pytest.raises(ValueError):
         next(natural_parameter_assignments(1, "sudoku"))
+    with pytest.raises(ValueError, match="unknown family"):
+        next(fundamental_representatives(1, "sudoku"))
 
 
 def test_enumerate_level1():
@@ -82,6 +88,8 @@ def test_enumerate_level1():
     for level in (0, -1):
         with pytest.raises(ValueError, match="level must be >= 1"):
             enumerate_fundamental(level)
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            next(fundamental_representatives(level))
 
 
 def test_enumerate_level2_both_families():
@@ -98,6 +106,46 @@ def test_enumerate_level2_both_families():
     for rep in lu.representatives:
         assert rep == canonical_parameters(rep)
         assert check_natural(lucas(rep))
+
+
+@pytest.mark.parametrize("family", ["lucas", "frierson"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_representatives_match_the_dedup_oracle(level, family):
+    oracle = tuple(
+        sorted(
+            set(
+                canonical_parameters(t)
+                for t in natural_parameter_assignments(level, family)
+            )
+        )
+    )
+    assert tuple(fundamental_representatives(level, family)) == oracle
+
+
+def test_frierson_level4_representatives_stream():
+    reps = list(fundamental_representatives(4, "frierson"))
+    assert len(reps) == frierson_fundamental_formula(4) == 20160
+    assert len(set(reps)) == len(reps)
+    assert reps == sorted(reps)
+    for rep in reps:
+        assert canonical_parameters(rep) == rep
+    for rep in random.Random(4).sample(reps, 12):
+        assert check_natural(lucas(rep))
+
+
+def test_enumerate_fundamental_needs_no_dedup(monkeypatch):
+    calls = 0
+    canonical = enumeration.canonical_parameters
+
+    def counted(triples):
+        nonlocal calls
+        calls += 1
+        return canonical(triples)
+
+    monkeypatch.setattr(enumeration, "canonical_parameters", counted)
+    res = enumerate_fundamental(3)
+    assert len(res.representatives) == lucas_fundamental_formula(3)
+    assert calls <= lucas_fundamental_formula(3)
 
 
 def test_enumerate_beyond_the_ceiling_uses_formulas():
@@ -118,6 +166,20 @@ def test_enumeration_result_json():
 def test_fnc_solutions():
     assert fnc_integer_solutions(1) == [(1, 3)]
     assert fnc_integer_solutions(2) == [(1, 3, 9, 27)]
+
+
+@pytest.mark.parametrize(
+    "require_distinct,count,digest",
+    [
+        (True, 253, "a392a4fccb53419997853f22501f5ac1b514222e2caf3fce42707851d01d9840"),
+        (False, 358, "2aef5b1c65e663cdc3cb455a0da7fe956bd06d041bec15d6efc57e31d3f558b6"),
+    ],
+)
+def test_fnc_solutions_level3_pinned(require_distinct, count, digest):
+    # digests of repr(solutions) from the exhaustive search over every value
+    sols = fnc_integer_solutions(3, require_distinct)
+    assert len(sols) == count
+    assert hashlib.sha256(repr(sols).encode()).hexdigest() == digest
 
 
 def test_fnc_solutions_satisfy_both_moment_equations():
