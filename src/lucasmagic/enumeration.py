@@ -36,6 +36,11 @@ def _check_level(level: int) -> None:
         raise ValueError("level must be >= 1")
 
 
+def _check_family(family: str) -> None:
+    if family not in ("lucas", "frierson"):
+        raise ValueError(f"unknown family {family!r}")
+
+
 def lucas_total(level: int) -> int:
     return 2 ** (2 * level) * factorial(2 * level)
 
@@ -74,8 +79,7 @@ def natural_parameter_assignments(level: int, family: str = "lucas"):
     family each ordering carries all 2^(2l) sign patterns.  Every yielded
     tuple produces a natural magic square.
     """
-    if family not in ("lucas", "frierson"):
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     mags = [3 ** k for k in range(2 * level)]
     sign_patterns = (
         list(product((1, -1), repeat=2 * level))
@@ -105,8 +109,7 @@ def fundamental_representatives(level: int, family: str = "lucas"):
     yields the tuples in lexicographic order; it holds one candidate list
     per level.
     """
-    if family not in ("lucas", "frierson"):
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     _check_level(level)
     signs = tuple(product((1, -1), repeat=2)) if family == "lucas" else ((-1, -1),)
 
@@ -159,10 +162,11 @@ def enumerate_fundamental(
 
     Materialized runs take the representatives from
     fundamental_representatives and cross-check them: their number must be
-    the closed formula and each must be its own canonical_parameters.
-    Beyond the ceiling only the formulas are used and representatives are
-    None.
+    the closed formula and each must be its own canonical_parameters; the
+    singular-value classes are materialized and checked too.  Beyond the
+    ceiling only the formulas are used and representatives are None.
     """
+    _check_family(family)
     _check_level(level)
     formula = (
         lucas_fundamental_formula(level)
@@ -191,7 +195,7 @@ def enumerate_fundamental(
         total_assignments=total,
         fundamental_count=formula,
         representatives=reps,
-        sv_class_count=sv_class_count(level),
+        sv_class_count=sv_class_count(level, materialize=reps is not None),
     )
 
 

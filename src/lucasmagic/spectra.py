@@ -34,14 +34,6 @@ def lam(v: int, y: int) -> Radical:
     return Radical(1, 3 * (v * v - y * y))
 
 
-def phi(v: int, y: int) -> Radical:
-    return Radical(v + y, 3)
-
-
-def psi(v: int, y: int) -> Radical:
-    return Radical(v - y, 3)
-
-
 def omega(v: int, y: int) -> Radical:
     """Omega = 3(v+y)/lambda — the eigenvector entry offset; needs v^2 != y^2."""
     disc = v * v - y * y
@@ -104,101 +96,30 @@ def nonzero_count(values) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matrices of radical entries (eigenvector and singular-vector factors)
+# Decomposition factors, as tuples of rows of RadicalSum entries
 # ---------------------------------------------------------------------------
 
-
-class RadMatrix:
-    """A square matrix of RadicalSum entries; just enough linear algebra
-    for building and checking the closed-form decompositions."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        self.rows = tuple(
-            tuple(x if isinstance(x, RadicalSum) else RadicalSum(x) for x in row)
-            for row in rows
-        )
-        self.n = len(self.rows)
-        if any(len(r) != self.n for r in self.rows):
-            raise ValueError("square array required")
-
-    def __eq__(self, other):
-        return isinstance(other, RadMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def transpose(self) -> "RadMatrix":
-        return RadMatrix(list(zip(*self.rows)))
-
-    @property
-    def T(self) -> "RadMatrix":
-        return self.transpose()
-
-    def __matmul__(self, other) -> "RadMatrix":
-        cols = list(zip(*other.rows))
-        return RadMatrix(
-            [
-                [
-                    sum((a * b for a, b in zip(row, col)), RadicalSum())
-                    for col in cols
-                ]
-                for row in self.rows
-            ]
-        )
-
-    def scale_columns(self, factors) -> "RadMatrix":
-        return RadMatrix(
-            [[x * f for x, f in zip(row, factors)] for row in self.rows]
-        )
-
-    def permute_columns(self, order) -> "RadMatrix":
-        return RadMatrix([[row[j] for j in order] for row in self.rows])
-
-    def to_complex(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(
-            [[complex(x) for x in row] for row in self.rows], dtype=complex
-        )
-
-    @staticmethod
-    def identity(n: int) -> "RadMatrix":
-        return RadMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+Rows = tuple[tuple[RadicalSum, ...], ...]
 
 
-def rad_kron(a: RadMatrix, b: RadMatrix) -> RadMatrix:
-    """The Kronecker product a (x) b: the tests' reference for the factor
-    matrices, which the library builds over base-3 digits instead."""
-    na, nb = a.n, b.n
-    return RadMatrix(
-        [
-            [
-                a.rows[i // nb][j // nb] * b.rows[i % nb][j % nb]
-                for j in range(na * nb)
-            ]
-            for i in range(na * nb)
-        ]
-    )
-
-
-def s3(v: int, y: int) -> RadMatrix:
+def s3(v: int, y: int) -> Rows:
     """Eigenvector matrix of lucas3(c, v, y): columns for 3c, +lambda, -lambda."""
     om = omega(v, y)
     one = RadicalSum(1)
-    return RadMatrix(
-        [
-            [one, one + om, one - om],
-            [one, RadicalSum(-2), RadicalSum(-2)],
-            [one, one - om, one + om],
-        ]
+    return (
+        (one, one + om, one - om),
+        (one, RadicalSum(-2), RadicalSum(-2)),
+        (one, one - om, one + om),
     )
 
 
-def _u3() -> RadMatrix:
+def _radical_rows(rows) -> Rows:
+    return tuple(tuple(RadicalSum(x) for x in row) for row in rows)
+
+
+def _u3() -> Rows:
     h, s2, s6 = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
-    return RadMatrix(
+    return _radical_rows(
         [
             [Radical(h, 3), Radical(-s2, 2), Radical(s6, 6)],
             [Radical(h, 3), 0, Radical(-h, 6)],
@@ -207,9 +128,9 @@ def _u3() -> RadMatrix:
     )
 
 
-def _v3() -> RadMatrix:
+def _v3() -> Rows:
     h, s2, s6 = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
-    return RadMatrix(
+    return _radical_rows(
         [
             [Radical(h, 3), Radical(-s6, 6), Radical(s2, 2)],
             [Radical(h, 3), Radical(h, 6), 0],
@@ -227,10 +148,10 @@ class DecompositionMatrices:
     """One decomposition's factors; S/D for the Jordan form, U/V/sigma for
     the SVD (the unused fields are None)."""
 
-    s: RadMatrix | None = None
+    s: Rows | None = None
     d: tuple[Radical, ...] | None = None
-    u: RadMatrix | None = None
-    v: RadMatrix | None = None
+    u: Rows | None = None
+    v: Rows | None = None
     sigma: tuple[Radical, ...] | None = None
 
 
@@ -246,7 +167,7 @@ def jcf_matrices(triples) -> DecompositionMatrices:
             raise ValueError(
                 f"degenerate level (v, y) = ({v}, {y}): eigenvector matrix undefined"
             )
-    factors = [s3(v, y).rows for _, v, y in triples]
+    factors = [s3(v, y) for _, v, y in triples]
     return DecompositionMatrices(
         s=_block_product(factors, _block_columns(len(triples))),
         d=tuple(eigenvalues(triples)),
@@ -265,14 +186,14 @@ def svd_matrices(triples) -> DecompositionMatrices:
     negated = {p for p, w in enumerate(signed) if w < 0}
     order = _block_columns(level)
     return DecompositionMatrices(
-        u=_block_product([U3.rows] * level, order, negated),
-        v=_block_product([V3.rows] * level, order),
+        u=_block_product([U3] * level, order, negated),
+        v=_block_product([V3] * level, order),
         sigma=tuple(singular_values(triples)),
     )
 
 
-def _block_product(blocks, columns, negated=frozenset()) -> RadMatrix:
-    """The matrix whose entry (i, p) is the product over k of
+def _block_product(blocks, columns, negated=frozenset()) -> Rows:
+    """The rows of the matrix whose entry (i, p) is the product over k of
     blocks[k][d_k(i)][d_k(columns[p])], negated when p is in negated, with
     d_k the k-th base-3 digit (blocks[0] the least significant): the
     multiplicative twin of construct._block_sum.
@@ -285,11 +206,9 @@ def _block_product(blocks, columns, negated=frozenset()) -> RadMatrix:
         rows = [
             [s * x for s in outer_row for x in r] for outer_row in block for r in rows
         ]
-    return RadMatrix(
-        [
-            [-row[j] if p in negated else row[j] for p, j in enumerate(columns)]
-            for row in rows
-        ]
+    return tuple(
+        tuple(-row[j] if p in negated else row[j] for p, j in enumerate(columns))
+        for row in rows
     )
 
 
@@ -297,6 +216,12 @@ def _block_product(blocks, columns, negated=frozenset()) -> RadMatrix:
 # Numeric residuals (floating point enters here only, and numpy is imported
 # here only, so a process that computes no residual never loads it)
 # ---------------------------------------------------------------------------
+
+
+def _complex_array(rows) -> np.ndarray:
+    import numpy as np
+
+    return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
 
 
 def _diag_complex(values) -> np.ndarray:
@@ -310,7 +235,7 @@ def jcf_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
     import numpy as np
 
     a = np.array(m.to_lists(), dtype=float)
-    s = dec.s.to_complex()
+    s = _complex_array(dec.s)
     d = _diag_complex(dec.d)
     return float(np.linalg.norm(a @ s - s @ d) / (np.linalg.norm(a) or 1.0))
 
@@ -320,18 +245,18 @@ def svd_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
     import numpy as np
 
     a = np.array(m.to_lists(), dtype=float)
-    u = dec.u.to_complex().real
-    v = dec.v.to_complex().real
+    u = _complex_array(dec.u).real
+    v = _complex_array(dec.v).real
     sig = _diag_complex(dec.sigma).real
     return float(np.linalg.norm(u @ sig @ v.T - a) / (np.linalg.norm(a) or 1.0))
 
 
-def orthonormality_residual(mat: RadMatrix) -> float:
-    """|| Q^T Q - I ||_F for a real radical matrix Q."""
+def orthonormality_residual(rows: Rows) -> float:
+    """|| Q^T Q - I ||_F for a real radical matrix Q, given by its rows."""
     import numpy as np
 
-    q = mat.to_complex().real
-    return float(np.linalg.norm(q.T @ q - np.eye(mat.n)))
+    q = _complex_array(rows).real
+    return float(np.linalg.norm(q.T @ q - np.eye(len(rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +324,12 @@ def table1_row(v: int, y: int, s: int, t: int) -> dict:
 
 def _spectral_row(triples) -> tuple[list[str], list[int]]:
     """|lambda_i| per level as strings, and sigma_2..sigma_(2l+1) / sqrt(3)
-    as integers (every nonzero sigma past mu is an integer times sqrt(3))."""
+    as the integers 3^(l-1) |v_i +- y_i|, read from the closed form."""
+    triples = normalize_triples(triples)
     evs = eigenvalues(triples)
-    svs = singular_values(triples)
     lams = [str(abs(evs[2 * i + 1])) for i in range(len(triples))]
-    sigs = []
-    for r in svs[1 : 2 * len(triples) + 1]:
-        if r.radicand not in (0, 3):
-            raise AssertionError("sigma/sqrt(3) is not an integer")
-        sigs.append(0 if r.is_zero() else int(r.coeff))
-    return lams, sigs
+    scale = 3 ** (len(triples) - 1)
+    return lams, [scale * abs(w) for w in _phi_psi_coeffs(triples)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +233,34 @@ def test_spectra_non_family_file(capsys):
 def test_spectra_needs_some_input(capsys):
     rc, _, err = run(capsys, "spectra")
     assert rc == 2
+
+
+# Whole `spectra` stdout, pinned by sha256 with the two residuals masked: BLAS
+# may move their last bits between machines, every other byte is exact.
+_RESIDUAL = re.compile(r'("(?:jcf|svd)_residual": )(-?[0-9][0-9.eE+-]*)')
+SPECTRA_STDOUT = [  # params, whether the eigenvector matrix is refused, digest
+    ("4,3,1", False, "b6b04038f12ae0aa53062da1dd242a9592a290d7e938ffb18293b845b5bbb92d"),
+    # an imaginary pair at level 1
+    ("4,1,3;36,27,9", False, "49d5a1cc2b774c0f533d17229c68868fcfd44fd8202ac1f75520cf6cc298836b"),
+    # negative mu
+    ("-5,3,1;2,-7,4", False, "9f35fa199e6818b614a3ee3fb445c6e051be0d55e4ec86ec07f3a2472afdefc7"),
+    ("1,2,-2;3,5,1;-2,4,4", True,
+     "2aa4d3227d666c53926c73811f14bdc80874e8adae85dc19286c3efd6a972eac"),
+    ("4,3,1;36,27,9;324,243,81;2916,2187,729", False,
+     "f73cd5adc990967c08baf1bf7dec4ef1c65680f953dfdd582637dc395b18609c"),
+    ("0,0,0", True, "79931572d4320d7aa336d09b8d108f03ecefd622b1c858a51d961731488a2d70"),
+]
+
+
+@pytest.mark.parametrize("params,refused,digest", SPECTRA_STDOUT)
+def test_spectra_stdout_is_pinned(capsys, params, refused, digest):
+    rc, out, err = run(capsys, "spectra", f"--params={params}")
+    assert rc == 0 and err == ""
+    obj = json.loads(out.split("\n\n", 1)[0])
+    assert (obj["jcf_residual"] is None) == refused
+    assert obj["svd_residual"] < 1e-12
+    assert refused or obj["jcf_residual"] < 1e-12
+    assert hashlib.sha256(_RESIDUAL.sub(r"\1R", out).encode()).hexdigest() == digest
 
 
 def test_enumerate_census(capsys):
@@ -476,6 +506,16 @@ def test_tables_2(capsys):
     assert len(lines) == 8
     assert "| 1 | 3 | 12 | 1 | 1 | 3 | 1 |" in lines
     assert "| 6 | 729 | 193,709,880 | 245,248,819,200 | 239,500,800 | 13 | 10,395 |" in lines
+
+
+@pytest.mark.parametrize("which,digest", [
+    ("1", "94f1e4c7f1f44f536190ac6736d722026d274a48c883f12ad6d8719462c28dd9"),
+    ("2", "919bbc704e44e7fdb3ca7ccf1522eb6cf0977e41507e551b6475cd0cae0ec2a0"),
+])
+def test_tables_stdout_is_pinned(capsys, which, digest):
+    rc, out, _ = run(capsys, "tables", "--which", which)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_tables_are_deterministic(capsys):

@@ -77,6 +77,10 @@ def test_frierson_assignments_are_unsigned():
         next(natural_parameter_assignments(1, "sudoku"))
     with pytest.raises(ValueError, match="unknown family"):
         next(fundamental_representatives(1, "sudoku"))
+    # the family is checked before any count, whether or not it materializes
+    for level, family, ceiling in ((4, "bogus", 3), (1, "Lucas", 0), (1, "Lucas", 3)):
+        with pytest.raises(ValueError, match="unknown family"):
+            enumerate_fundamental(level, family, ceiling=ceiling)
 
 
 def test_enumerate_level1():
@@ -146,6 +150,24 @@ def test_enumerate_fundamental_needs_no_dedup(monkeypatch):
     res = enumerate_fundamental(3)
     assert len(res.representatives) == lucas_fundamental_formula(3)
     assert calls <= lucas_fundamental_formula(3)
+
+
+def test_enumerate_without_representatives_builds_no_sv_classes(monkeypatch):
+    # with no representatives built the sv class count is the formula alone
+    calls = 0
+    singular_values = enumeration.singular_values
+
+    def counted(triples):
+        nonlocal calls
+        calls += 1
+        return singular_values(triples)
+
+    monkeypatch.setattr(enumeration, "singular_values", counted)
+    res = enumerate_fundamental(3, ceiling=0)
+    assert res.representatives is None and res.sv_class_count == 15
+    assert calls == 0
+    assert enumerate_fundamental(2, "frierson").sv_class_count == 3
+    assert calls == 12
 
 
 def test_enumerate_beyond_the_ceiling_uses_formulas():
