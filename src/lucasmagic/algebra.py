@@ -20,7 +20,7 @@ from .construct import (
     lucas,
     normalize_triples,
 )
-from .exactmat import SquareMatrix, commutator
+from .exactmat import SquareMatrix, commutes
 from .verify import recover_lucas_params
 
 
@@ -28,7 +28,7 @@ def commutes_exactly(a: SquareMatrix, b: SquareMatrix) -> bool:
     """True iff the exact commutator a@b - b@a is the zero matrix."""
     if a.n != b.n:
         raise ValueError(f"order mismatch: {a.n} vs {b.n}")
-    return commutator(a, b) == SquareMatrix.zero(a.n)
+    return commutes(a, b)
 
 
 def commute3_predicate(p, q) -> bool:

@@ -4,12 +4,22 @@ Everything here is plain Python arithmetic on int/Fraction entries — no
 floating point — so equality of matrices is genuine equality and rank is
 computed by fraction-free elimination rather than by thresholding singular
 values.
+
+Products and commutation checks go through one packed-row kernel
+(Kronecker substitution): each integer row becomes a single Python int
+with one w-bit slot per entry, so a product row is n big-int
+multiply-adds done in C instead of n**2 small ones in the interpreter.
+Rational operands clear their denominators first.  The slot width is
+sized from the operands so every product entry fits with room to spare;
+the packed form is then unique, and two packed rows are equal exactly
+when the rows are.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 
@@ -24,6 +34,95 @@ def _norm_entry(x):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(x).__name__}")
 
 
+def _norm_row(row) -> tuple:
+    # all-int rows skip _norm_entry; bools, int subclasses and every other
+    # type still go through it, one entry at a time
+    row = tuple(row)
+    if set(map(type, row)) == {int}:
+        return row
+    return tuple(_norm_entry(x) for x in row)
+
+
+def _parse_grid_row(tokens) -> list:
+    # int() reads "1_000" on every supported Python, Fraction() only from
+    # 3.11 on, so a row holding an underscore is left to Fraction alone
+    if not any("_" in tok for tok in tokens):
+        try:
+            return [int(tok) for tok in tokens]
+        except ValueError:  # a p/q or decimal token
+            pass
+    return [Fraction(tok) for tok in tokens]
+
+
+class _Slots:
+    """n packed slots of w bits each, w a multiple of 8.
+
+    A row r packs to the signed-digit integer sum(r[k] * 2**(w*k)).  Every
+    value the slots hold has |x| <= bound < 2**(w-2), so adding the offset
+    2**(w-1) to each slot makes them the integer's plain base-2**w digits:
+    the packed form is unique, and unpacking is a byte split.
+    """
+
+    def __init__(self, n: int, bound: int):
+        self.n = n
+        self.nbytes = (bound.bit_length() + 9) // 8
+        self.half = 1 << (8 * self.nbytes - 1)
+        self.offset = int.from_bytes(
+            self.half.to_bytes(self.nbytes, "little") * n, "little"
+        )
+
+    def pack(self, rows) -> list[int]:
+        nb, half = self.nbytes, self.half
+        return [
+            int.from_bytes(
+                b"".join([(x + half).to_bytes(nb, "little") for x in r]), "little"
+            )
+            - self.offset
+            for r in rows
+        ]
+
+    def unpack(self, v: int) -> list[int]:
+        nb, half, from_bytes = self.nbytes, self.half, int.from_bytes
+        raw = (v + self.offset).to_bytes(self.n * nb, "little")
+        return [
+            from_bytes(raw[k : k + nb], "little") - half
+            for k in range(0, len(raw), nb)
+        ]
+
+
+def _integer_form(m: "SquareMatrix"):
+    """(rows, d, max |entry|) for the integer matrix d*m, d the lcm of m's denominators."""
+    rows = m.rows
+    d = 1
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        d = lcm(*{x.denominator for x in chain.from_iterable(rows)})
+        rows = [[int(x * d) for x in r] for r in rows]
+    return rows, d, max(max(max(r), -min(r)) for r in rows)
+
+
+def _packed_dot(coeffs, packed) -> int:
+    """sum(c * p), skipping zero coefficients: one packed row of a product."""
+    return sum([c * p for c, p in zip(coeffs, packed) if c])
+
+
+def _scaled(rows, d: int) -> "SquareMatrix":
+    if d == 1:
+        return SquareMatrix(rows)
+    return SquareMatrix([[Fraction(x, d) for x in r] for r in rows])
+
+
+def _integer_operands(a: "SquareMatrix", b: "SquareMatrix"):
+    """(ra, rb, d, slots): integer rows of d_a*a and d_b*b, d = d_a*d_b, and
+    slots that hold any entry of ra@rb (at most n*max|ra|*max|rb|) and of
+    the packed operands themselves.
+    """
+    if a.n != b.n:
+        raise ValueError("size mismatch")
+    ra, da, ma = _integer_form(a)
+    rb, db, mb = _integer_form(b)
+    return ra, rb, da * db, _Slots(a.n, max(a.n * ma * mb, ma, mb))
+
+
 class SquareMatrix:
     """An immutable n-by-n matrix with exact rational entries.
 
@@ -34,7 +133,7 @@ class SquareMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_norm_entry(x) for x in row) for row in rows)
+        rows = tuple(_norm_row(row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("SquareMatrix needs a nonempty square array of rows")
@@ -127,15 +226,9 @@ class SquareMatrix:
     def __matmul__(self, other) -> "SquareMatrix":
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        bt = other.transpose().rows
-        return SquareMatrix(
-            [
-                [sum(a * b for a, b in zip(ra, cb)) for cb in bt]
-                for ra in self.rows
-            ]
-        )
+        ra, rb, d, slots = _integer_operands(self, other)
+        pb = slots.pack(rb)
+        return _scaled([slots.unpack(_packed_dot(x, pb)) for x in ra], d)
 
     def __pow__(self, k: int) -> "SquareMatrix":
         if not isinstance(k, int) or k < 0:
@@ -184,13 +277,14 @@ class SquareMatrix:
             if piv is None:
                 continue
             work[row], work[piv] = work[piv], work[row]
+            pivot_row = work[row]
+            p = pivot_row[col]
+            # columns left of col are zero in every row from `row` on, and
+            # stay zero; column col becomes p*c - c*p = 0
             for i in range(row + 1, n):
-                for j in range(col + 1, n):
-                    work[i][j] = (
-                        work[row][col] * work[i][j] - work[i][col] * work[row][j]
-                    ) // prev
-                work[i][col] = 0
-            prev = work[row][col]
+                c = work[i][col]
+                work[i] = [(p * x - c * y) // prev for x, y in zip(work[i], pivot_row)]
+            prev = p
             row += 1
             rank += 1
             if row == n:
@@ -219,7 +313,7 @@ class SquareMatrix:
             if not line:
                 continue
             try:
-                rows.append([Fraction(tok) for tok in line.split()])
+                rows.append(_parse_grid_row(line.split()))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in grid row {line!r}") from None
         return SquareMatrix(rows)
@@ -262,3 +356,15 @@ def kron(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
 
 def commutator(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
     return a @ b - b @ a
+
+
+def commutes(a: SquareMatrix, b: SquareMatrix) -> bool:
+    """True iff a@b == b@a.
+
+    Compares the packed rows of d*(a@b) and d*(b@a), d clearing both
+    denominators, and stops at the first row that differs; the packed
+    form is unique, so this is exact.  No product is unpacked.
+    """
+    ra, rb, _, slots = _integer_operands(a, b)
+    pa, pb = slots.pack(ra), slots.pack(rb)
+    return all(_packed_dot(x, pb) == _packed_dot(y, pa) for x, y in zip(ra, rb))

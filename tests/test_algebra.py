@@ -121,6 +121,23 @@ def test_build_commuting_pair_level3():
     assert commute_predicate(first, second)
 
 
+LEVEL5_BASE = ((4, 1, 3), (36, 9, 27), (324, 81, 243), (2916, 729, 2187), (4, 3, 1))
+
+
+@pytest.mark.parametrize("commuting", [True, False])
+def test_level5_commutation_matches_the_closed_form(commuting):
+    first, second = build_commuting_lucas_pair(5, LEVEL5_BASE)
+    if not commuting:
+        second = second[:-1] + ((4, 1, 3),)  # outer direction (1, 3) vs (3, 1)
+    a, b = lucas(first), lucas(second)
+    assert a.n == 243
+    assert commute_predicate(first, second) is commuting
+    assert commutes_exactly(a, b) is commuting
+    rep = commuting_pair_report(a, b)
+    assert rep.observed is commuting and rep.predicted is commuting
+    assert rep.consistent is True
+
+
 def test_build_commuting_pair_accepts_signs():
     first, second = build_commuting_lucas_pair(2, ((4, -1, 3), (4, 3, -1)))
     assert commutator(lucas(first), lucas(second)) == SquareMatrix.zero(9)

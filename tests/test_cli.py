@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lucasmagic
+from lucasmagic.algebra import build_commuting_lucas_pair
 from lucasmagic.cli import _refuse_unprintable, build_parser, main
 from lucasmagic.construct import frierson9, lucas, lucas3, parse_lucas_params
 from lucasmagic.enumeration import census, frierson_fundamental_formula, lucas_fundamental_formula
@@ -462,6 +463,19 @@ def test_commute_two_files(tmp_path, capsys):
     assert obj["observed"] is True
     assert obj["predicted"] is True
     assert obj["consistent"] is True
+
+
+def test_commute_order_243_files(tmp_path):
+    base = ((4, 1, 3), (36, 9, 27), (324, 81, 243), (2916, 729, 2187), (4, 3, 1))
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    for path, params in zip((a, b), build_commuting_lucas_pair(5, base)):
+        path.write_text(lucas(params).to_grid())
+    proc = _run_module("commute", str(a), str(b), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["observed"] is True
+    assert obj["predicted"] is True and obj["consistent"] is True
 
 
 def test_commute_non_commuting(tmp_path, capsys):

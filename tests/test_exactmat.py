@@ -1,10 +1,63 @@
 import json
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lucasmagic.exactmat import SquareMatrix, commutator, kron
+from lucasmagic import exactmat
+from lucasmagic.algebra import commutes_exactly
+from lucasmagic.exactmat import SquareMatrix, commutator, commutes, kron
+
+
+# -- reference implementations --------------------------------------------
+# The library multiplies through packed rows and eliminates row by row;
+# these are the plain loops it replaced, kept as independent oracles.
+
+
+def oracle_matmul(a, b):
+    """Row-by-column triple loop."""
+    bt = list(zip(*b.rows))
+    return SquareMatrix(
+        [[sum(x * y for x, y in zip(ra, cb)) for cb in bt] for ra in a.rows]
+    )
+
+
+def oracle_commutator(a, b):
+    ab, ba = oracle_matmul(a, b), oracle_matmul(b, a)
+    return SquareMatrix(
+        [[x - y for x, y in zip(r, s)] for r, s in zip(ab.rows, ba.rows)]
+    )
+
+
+def oracle_rank(m):
+    """Bareiss elimination updating one entry at a time."""
+    work = []
+    for r in m.rows:
+        den = lcm(*(Fraction(x).denominator for x in r))
+        work.append([int(x * den) for x in r])
+    n = m.n
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        piv = next((i for i in range(row, n) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[row], work[piv] = work[piv], work[row]
+        for i in range(row + 1, n):
+            for j in range(col + 1, n):
+                work[i][j] = (
+                    work[row][col] * work[i][j] - work[i][col] * work[row][j]
+                ) // prev
+            work[i][col] = 0
+        prev = work[row][col]
+        row += 1
+        rank += 1
+        if row == n:
+            break
+    return rank
 
 
 def test_constructor_rejects_ragged_input():
@@ -170,3 +223,216 @@ def test_exact_rank_against_the_float_oracle(a):
     import numpy as np
 
     assert a.exact_rank() == np.linalg.matrix_rank(np.array(a.to_lists(), dtype=float))
+
+
+# -- the packed-row kernel against the oracles ------------------------------
+
+ENTRY_BOUNDS = (1, 9, 10**6, 2**31, 10**40)
+
+
+@st.composite
+def exact_matrices(draw, n, fractions=False):
+    """Mixed-sign n x n matrices, some with zero rows and columns or all zero.
+
+    A Random seeded by hypothesis fills the entries, so orders up to 27
+    with 40-digit entries stay within hypothesis's example size.
+    """
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    bound = draw(st.sampled_from(ENTRY_BOUNDS))
+    density = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    zero_rows = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+
+    def entry(i, j):
+        if i in zero_rows or j in zero_cols or rnd.random() >= density:
+            return 0
+        x = rnd.randint(-bound, bound)
+        if fractions and rnd.random() < 0.5:
+            return Fraction(x, rnd.randint(1, 12))
+        return x
+
+    return SquareMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def matrix_pairs(draw, fractions=False):
+    n = draw(st.integers(1, 27))
+    return draw(exact_matrices(n, fractions)), draw(exact_matrices(n, fractions))
+
+
+@given(matrix_pairs())
+@settings(max_examples=40, deadline=None)
+def test_matmul_matches_the_triple_loop(pair):
+    a, b = pair
+    assert a @ b == oracle_matmul(a, b)
+
+
+@given(matrix_pairs(fractions=True))
+@settings(max_examples=15, deadline=None)
+def test_rational_products_match_the_triple_loop(pair):
+    a, b = pair
+    got = a @ b
+    assert got == oracle_matmul(a, b)
+    assert all(type(x) is int or x.denominator > 1 for x in got.entries())
+    assert commutator(a, b) == oracle_commutator(a, b)
+
+
+@given(matrix_pairs())
+@settings(max_examples=40, deadline=None)
+def test_commutator_and_commutes_exactly_match_the_oracle(pair):
+    a, b = pair
+    ref = oracle_commutator(a, b)
+    assert commutator(a, b) == ref
+    assert commutes_exactly(a, b) == (ref == SquareMatrix.zero(a.n))
+    # a matrix commutes with itself and with its own square
+    assert commutes_exactly(a, a)
+    assert commutes_exactly(a, a @ a)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: exact_matrices(n)), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_pow_matches_repeated_triple_loop(a, k):
+    ref = SquareMatrix.identity(a.n)
+    for _ in range(k):
+        ref = oracle_matmul(ref, a)
+    assert a**k == ref
+
+
+@given(
+    st.integers(1, 27),
+    st.sampled_from((1, 2, 255, 256, 2**31 - 1, 2**31, 10**40)),
+    st.integers(0, 2**32).map(random.Random),
+)
+@settings(max_examples=25, deadline=None)
+def test_products_at_the_slot_width_edge(n, m, rnd):
+    # every entry is +-M, so a product entry reaches n*M**2 when the signs
+    # line up, and a commutator entry 2*n*M**2
+    plus = SquareMatrix([[m] * n for _ in range(n)])
+    assert (plus @ plus).rows == ((n * m * m,) * n,) * n
+    assert (plus @ -plus).rows == ((-n * m * m,) * n,) * n
+    signs = [rnd.choice((-1, 1)) for _ in range(n)]
+    a = SquareMatrix([[m * s for s in signs] for _ in range(n)])  # equal rows
+    b = SquareMatrix([[m * s] * n for s in signs])  # equal columns
+    assert a @ b == oracle_matmul(a, b)
+    assert max(abs(x) for x in (a @ b).entries()) == n * m * m
+    ref = oracle_commutator(a, b)
+    assert commutator(a, b) == ref
+    assert commutes_exactly(a, b) == (ref == SquareMatrix.zero(n))
+    mixed = SquareMatrix([[m * rnd.choice((-1, 1)) for _ in range(n)] for _ in range(n)])
+    assert mixed @ plus == oracle_matmul(mixed, plus)
+    assert commutator(mixed, plus) == oracle_commutator(mixed, plus)
+
+
+def test_commutator_reaches_twice_the_product_bound():
+    # (ab)_01 = n*M**2 and (ba)_01 = -n*M**2: the difference needs the extra bit
+    n, m = 2, 2**31
+    a = SquareMatrix([[m, m], [m, -m]])
+    b = SquareMatrix([[-m, m], [m, m]])
+    assert commutator(a, b)[0, 1] == 2 * n * m * m
+    assert commutator(a, b) == oracle_commutator(a, b)
+    assert not commutes_exactly(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 27])
+def test_commutes_exactly_reads_every_row(n):
+    # a @ b and b @ a differ in the last row only (and only when n > 1)
+    a = SquareMatrix([[int(i == n - 1 and j == 0) for j in range(n)] for i in range(n)])
+    b = SquareMatrix([[(1 + (i == n - 1)) * (i == j) for j in range(n)] for i in range(n)])
+    assert commutes_exactly(a, b) == (n == 1)
+    assert commutator(a, b) == oracle_commutator(a, b)
+
+
+def test_packed_products_reject_mismatched_orders():
+    two, three = SquareMatrix.identity(2), SquareMatrix.identity(3)
+    for op in (SquareMatrix.__matmul__, commutator, commutes):
+        with pytest.raises(ValueError):
+            op(two, three)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: exact_matrices(n, fractions=True)))
+@settings(max_examples=60, deadline=None)
+def test_exact_rank_matches_the_entrywise_bareiss(a):
+    assert a.exact_rank() == oracle_rank(a)
+
+
+def test_constructor_normalizes_entries():
+    with pytest.raises(TypeError):
+        SquareMatrix([[True]])
+    with pytest.raises(TypeError):
+        SquareMatrix([[1, 2], [3, False]])
+    with pytest.raises(TypeError):
+        SquareMatrix([[1.0]])
+    whole = SquareMatrix([[Fraction(4, 2), 1], [0, 1]])
+    assert type(whole[0, 0]) is int and whole[0, 0] == 2
+    half = SquareMatrix([[Fraction(1, 2)]])
+    assert type(half[0, 0]) is Fraction and half[0, 0] == Fraction(1, 2)
+
+    class Tagged(int):
+        pass
+
+    tagged = SquareMatrix([[Tagged(3)]])
+    assert type(tagged[0, 0]) is Tagged
+    assert (tagged @ tagged)[0, 0] == 9
+
+
+GRID_TOKENS = (
+    "7", "-7", "+7", "-0", "007", "-007", "1_000", "١٢", "-١٢", "１２",
+    "3/4", "-3/4", "٣/٤", "1_0/2_0", "0.5", "-.5", "1e3", "1E-2",
+    "1/0", "0x10", "1__0", "_1", "1_", "+-1", "abc", "1/-2", "1//2",
+)
+
+
+def _fraction_or_error(tok):
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+def _grid_entry_or_error(tok):
+    try:
+        return SquareMatrix.from_grid(tok)[0, 0]
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("tok", GRID_TOKENS)
+def test_grid_tokens_parse_like_fraction(tok):
+    assert _grid_entry_or_error(tok) == _fraction_or_error(tok)
+
+
+# No "e" in the alphabet: a random exponent such as 1e99999999 makes
+# Fraction build a huge power of ten.  GRID_TOKENS covers exponents.
+@given(
+    st.text(alphabet=st.sampled_from("0123456789+-_/.xX١٢３"), min_size=1, max_size=12)
+)
+@settings(max_examples=300, deadline=None)
+def test_int_first_grid_parse_agrees_with_fraction(tok):
+    want = _fraction_or_error(tok)
+    got = _grid_entry_or_error(tok)
+    assert got == want
+    if got is not None:
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+def test_underscore_rows_are_left_to_fraction(monkeypatch):
+    # int() reads "1_000" on every Python, Fraction() only from 3.11 on; a
+    # row holding an underscore must follow Fraction, so stand in a
+    # Fraction that refuses underscores, as Python 3.10's does
+    def fraction_without_underscores(tok):
+        if "_" in tok:
+            raise ValueError(f"invalid literal for Fraction: {tok!r}")
+        return Fraction(tok)
+
+    monkeypatch.setattr(exactmat, "Fraction", fraction_without_underscores)
+    for text in ("1_000", "1_000 2\n3 4", "1 2\n3 4_0"):
+        with pytest.raises(ValueError):
+            SquareMatrix.from_grid(text)
+    assert SquareMatrix.from_grid("1 -2\n+3 007").rows == ((1, -2), (3, 7))
+
+
+def test_grid_rows_mix_integers_and_fractions():
+    m = SquareMatrix.from_grid("1 2/4\n-3 ١\n")
+    assert m.rows == ((1, Fraction(1, 2)), (-3, 1))
+    with pytest.raises(ValueError, match="zero denominator"):
+        SquareMatrix.from_grid("1 2\n3 4/0\n")
