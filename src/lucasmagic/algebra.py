@@ -238,8 +238,6 @@ class CommutingPairReport:
 
 def commuting_pair_report(a: SquareMatrix, b: SquareMatrix) -> CommutingPairReport:
     """Compare the closed-form commutation test with the exact commutator."""
-    if a.n != b.n:
-        raise ValueError(f"order mismatch: {a.n} vs {b.n}")
     observed = commutes_exactly(a, b)
     pa = recover_lucas_params(a)
     pb = recover_lucas_params(b)

@@ -15,9 +15,9 @@ The orbit representatives are built directly, in sorted order, by
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations, product
-from math import factorial, floor, inf, isqrt, lgamma, log, log10
+from math import factorial, floor, inf, isqrt, lgamma, log, log10, prod
 
 from .construct import (
     Triple,
@@ -66,10 +66,7 @@ def frierson_paired_convention_count(level: int) -> int:
 
 def double_factorial_odd(level: int) -> int:
     """(2l - 1)!! — the count of distinct singular-value multisets."""
-    out = 1
-    for k in range(1, 2 * level, 2):
-        out *= k
-    return out
+    return prod(range(1, 2 * level, 2))
 
 
 def natural_parameter_assignments(level: int, family: str = "lucas"):
@@ -202,12 +199,7 @@ def enumerate_fundamental(
 def duplicate_element_check(triples) -> bool:
     """True iff lucas(triples) has pairwise-distinct elements."""
     m = lucas(normalize_triples(triples))
-    seen = set()
-    for x in m.entries():
-        if x in seen:
-            return False
-        seen.add(x)
-    return True
+    return len(set(m.entries())) == m.n * m.n
 
 
 def fnc_integer_solutions(level: int, require_distinct: bool = True):
@@ -306,15 +298,7 @@ class CensusRow:
     sv_classes: int
 
     def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "order": self.order,
-            "mu": self.mu,
-            "lucas_fundamental": self.lucas_fundamental,
-            "frierson_fundamental": self.frierson_fundamental,
-            "rank": self.rank,
-            "sv_classes": self.sv_classes,
-        }
+        return asdict(self)
 
 
 def census(level: int) -> CensusRow:

@@ -18,6 +18,7 @@ when the rows are.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -51,7 +52,18 @@ def _parse_grid_row(tokens) -> list:
             return [int(tok) for tok in tokens]
         except ValueError:  # a p/q or decimal token
             pass
-    return [Fraction(tok) for tok in tokens]
+    return [_parse_fraction(tok) for tok in tokens]
+
+
+def _parse_fraction(tok: str) -> Fraction:
+    # Fraction builds 10**exponent before anything is checked; the same value
+    # written out in digits is refused past the int digit limit, so an
+    # exponent past that limit is refused here, up front (0: no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exp = tok.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if limit and exp.isdecimal() and (len(exp) > limit or int(exp) > limit):
+        raise ValueError(f"grid cell {tok!r} has an exponent past {limit} digits")
+    return Fraction(tok)
 
 
 class _Slots:
@@ -183,8 +195,7 @@ class SquareMatrix:
         return [list(r) for r in self.rows]
 
     def entries(self):
-        for r in self.rows:
-            yield from r
+        return chain.from_iterable(self.rows)
 
     # -- algebra -----------------------------------------------------------
 
@@ -263,11 +274,8 @@ class SquareMatrix:
 
     def exact_rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination; exact, no thresholds."""
-        # scale rows to integers first so all divisions below are exact
-        work = []
-        for r in self.rows:
-            den = lcm(*(Fraction(x).denominator for x in r))
-            work.append([int(x * den) for x in r])
+        # scale to integers first so all divisions below are exact
+        work = list(_integer_form(self)[0])
         n = self.n
         rank = 0
         prev = 1

@@ -206,9 +206,6 @@ class Radical:
     def is_real(self) -> bool:
         return self.radicand >= 0
 
-    def is_rational(self) -> bool:
-        return self.radicand in (0, 1)
-
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Radical":

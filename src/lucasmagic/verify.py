@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 from fractions import Fraction
+from itertools import chain
 
 from .exactmat import SquareMatrix
 from .construct import Triple, level_of_order, lucas
@@ -18,50 +19,37 @@ from .construct import Triple, level_of_order, lucas
 
 def check_magic(m: SquareMatrix):
     """(True, mu) when all rows, columns, and both diagonals share sum mu."""
-    n = m.n
-    mu = sum(m.rows[0])
-    for r in m.rows:
-        if sum(r) != mu:
-            return False, None
-    for j in range(n):
-        if sum(m.rows[i][j] for i in range(n)) != mu:
-            return False, None
-    if sum(m.rows[i][i] for i in range(n)) != mu:
-        return False, None
-    if sum(m.rows[i][n - 1 - i] for i in range(n)) != mu:
-        return False, None
-    return True, mu
+    rows = m.rows
+    mu = sum(rows[0])
+    diagonals = (
+        [r[i] for i, r in enumerate(rows)],
+        [r[-1 - i] for i, r in enumerate(rows)],
+    )
+    if all(sum(line) == mu for line in chain(rows, zip(*rows), diagonals)):
+        return True, mu
+    return False, None
 
 
 def check_regular(m: SquareMatrix) -> bool:
     """True iff every centrosymmetric entry pair sums to 2*mu/n.
 
     Defined for magic squares only; non-magic input raises ValueError
-    (regularity is then not applicable, as opposed to false).  The check is
-    cross-multiplied — n*(M + R*M*R) == 2*mu*E — so no divisibility of
-    2*mu by n is assumed.
+    (regularity is then not applicable, as opposed to false).  Entry k of
+    the flattened square pairs with entry n*n-1-k, so the flattened entries
+    are compared with their reverse.  The check is cross-multiplied —
+    n*(M + R*M*R) == 2*mu*E — so no divisibility of 2*mu by n is assumed.
     """
     is_magic, mu = check_magic(m)
     if not is_magic:
         raise ValueError("regularity is defined for magic squares only")
-    n = m.n
-    target = 2 * mu
-    for i in range(n):
-        for j in range(n):
-            if n * (m.rows[i][j] + m.rows[n - 1 - i][n - 1 - j]) != target:
-                return False
-    return True
+    n, target = m.n, 2 * mu
+    flat = list(m.entries())
+    return all(n * (a + b) == target for a, b in zip(flat, reversed(flat)))
 
 
 def check_natural(m: SquareMatrix) -> bool:
-    """True iff the entries are exactly 0, 1, ..., n^2 - 1 (counting check)."""
-    n2 = m.n * m.n
-    seen = bytearray(n2)
-    for x in m.entries():
-        if not isinstance(x, int) or not 0 <= x < n2 or seen[x]:
-            return False
-        seen[x] = 1
-    return True
+    """True iff the entries are exactly 0, 1, ..., n^2 - 1."""
+    return sorted(m.entries()) == list(range(m.n * m.n))
 
 
 def frobenius_norm_target(n: int) -> int:
@@ -150,13 +138,14 @@ class VerificationReport:
 def verify_report(m: SquareMatrix) -> VerificationReport:
     """Run every check on one square and bundle the results."""
     is_magic, mu = check_magic(m)
+    frobenius_sq = m.frobenius_sq()
     return VerificationReport(
         order=m.n,
         is_magic=is_magic,
         summation_index=mu,
         is_regular=check_regular(m) if is_magic else None,
-        frobenius_sq=m.frobenius_sq(),
-        fnc_pass=check_fnc(m),
+        frobenius_sq=frobenius_sq,
+        fnc_pass=frobenius_sq == frobenius_norm_target(m.n),
         is_natural=check_natural(m),
         exact_rank=m.exact_rank(),
         lucas_params=recover_lucas_params(m),

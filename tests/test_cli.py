@@ -374,6 +374,17 @@ def test_power_level3(capsys):
     assert SquareMatrix.from_grid(out) == lucas(parse_lucas_params(params)) ** 3
 
 
+@pytest.mark.parametrize("cell", ["1e2000000", "1e9999999999"])
+def test_verify_refuses_exponent_cells_up_front(tmp_path, cell):
+    f = tmp_path / "exp.txt"
+    f.write_text(f"1 {cell}\n2 3\n")
+    proc = _run_module("verify", str(f), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    limit = sys.get_int_max_str_digits()
+    assert proc.stderr == f"error: grid cell '{cell}' has an exponent past {limit} digits\n"
+
+
 def test_power_refuses_huge_entries_up_front():
     proc = _run_module("power", "--params", "4,3,1", "-k", "100000000", timeout=5)
     assert proc.returncode == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lucasmagic import enumeration
-from lucasmagic.construct import canonical_parameters, lucas
+from lucasmagic.construct import canonical_parameters, lucas, normalize_triples
 from lucasmagic.enumeration import (
     CensusRow,
     census,
@@ -231,6 +231,28 @@ def test_duplicate_element_check():
     assert duplicate_element_check(((4, 1, 3), (36, 9, 27)))
 
 
+def oracle_duplicate_element_check(triples):
+    """The entrywise loop duplicate_element_check replaced."""
+    m = lucas(normalize_triples(triples))
+    seen = set()
+    for x in m.entries():
+        if x in seen:
+            return False
+        seen.add(x)
+    return True
+
+
+# powers of three up to 3^5 make some parameter sets distinct, small values
+# make most of them repeat
+_parts = st.one_of(st.integers(-4, 4), st.sampled_from([3**k for k in range(6)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_parts, _parts, _parts), min_size=1, max_size=3))
+def test_duplicate_element_check_matches_the_loop(triples):
+    assert duplicate_element_check(triples) == oracle_duplicate_element_check(triples)
+
+
 def test_sv_class_count():
     assert [sv_class_count(l) for l in (1, 2, 3)] == [1, 3, 15]
     assert sv_class_count(5, materialize=False) == 945
@@ -275,6 +297,10 @@ def test_census_row_json():
         "rank": 5,
         "sv_classes": 3,
     }
+    assert list(obj) == [
+        "level", "order", "mu", "lucas_fundamental", "frierson_fundamental", "rank",
+        "sv_classes",
+    ]
 
 
 @given(st.integers(min_value=1, max_value=6))

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -429,6 +430,33 @@ def test_underscore_rows_are_left_to_fraction(monkeypatch):
         with pytest.raises(ValueError):
             SquareMatrix.from_grid(text)
     assert SquareMatrix.from_grid("1 -2\n+3 007").rows == ((1, -2), (3, 7))
+
+
+@pytest.mark.parametrize(
+    "tok",
+    [
+        "1e2000000",
+        "1e9999999999",
+        "-2.5E-2000000",
+        "1e+2_000_000",
+        pytest.param("1e" + "7" * 5000, id="5000-digit-exponent"),
+    ],
+)
+def test_grid_refuses_exponents_past_the_digit_limit(tok):
+    with pytest.raises(ValueError, match="has an exponent past"):
+        SquareMatrix.from_grid(f"1 {tok}\n2 3\n")
+
+
+def test_grid_exponents_up_to_the_digit_limit_parse(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    for tok in (f"1e{limit}", f"-3.5E-{limit}", "1e300", "2/6", "0.25", "1e3"):
+        assert _grid_entry_or_error(tok) == Fraction(tok)
+    assert SquareMatrix.from_grid("1e300 0\n0 1").rows[0][0] == 10**300
+    with pytest.raises(ValueError, match="exponent past"):
+        SquareMatrix.from_grid(f"1e{limit + 1}")
+    # with the limit switched off, the exponent is left to Fraction as before
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert SquareMatrix.from_grid(f"1e-{limit + 1}")[0, 0] == Fraction(1, 10 ** (limit + 1))
 
 
 def test_grid_rows_mix_integers_and_fractions():

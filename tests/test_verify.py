@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lucasmagic.construct import frierson9, lucas, lucas3
+from lucasmagic.construct import PHASE_NAMES, apply_phase, frierson9, lucas, lucas3
 from lucasmagic.exactmat import SquareMatrix
 from lucasmagic.verify import (
     check_fnc,
@@ -25,6 +26,61 @@ def m5():
     return SquareMatrix.from_grid((FIXTURES / "m5_counterexample.txt").read_text())
 
 
+# -- the entrywise loops the checks replaced, kept as oracles -----------------
+
+
+def oracle_check_magic(m):
+    n = m.n
+    mu = sum(m.rows[0])
+    for r in m.rows:
+        if sum(r) != mu:
+            return False, None
+    for j in range(n):
+        if sum(m.rows[i][j] for i in range(n)) != mu:
+            return False, None
+    if sum(m.rows[i][i] for i in range(n)) != mu:
+        return False, None
+    if sum(m.rows[i][n - 1 - i] for i in range(n)) != mu:
+        return False, None
+    return True, mu
+
+
+def oracle_check_regular(m):
+    is_magic, mu = oracle_check_magic(m)
+    if not is_magic:
+        raise ValueError("regularity is defined for magic squares only")
+    n = m.n
+    target = 2 * mu
+    for i in range(n):
+        for j in range(n):
+            if n * (m.rows[i][j] + m.rows[n - 1 - i][n - 1 - j]) != target:
+                return False
+    return True
+
+
+def oracle_check_natural(m):
+    n2 = m.n * m.n
+    seen = bytearray(n2)
+    for x in m.entries():
+        if not isinstance(x, int) or not 0 <= x < n2 or seen[x]:
+            return False
+        seen[x] = 1
+    return True
+
+
+def _outcome(check, m):
+    try:
+        return check(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_checks_match_the_oracles(m):
+    assert check_magic(m) == oracle_check_magic(m)
+    assert _outcome(check_regular, m) == _outcome(oracle_check_regular, m)
+    assert check_natural(m) == oracle_check_natural(m)
+
+
 def test_check_magic():
     assert check_magic(lucas3(4, 3, 1)) == (True, 12)
     assert check_magic(SquareMatrix.all_ones(4)) == (True, 4)
@@ -32,6 +88,31 @@ def test_check_magic():
     assert check_magic(broken) == (False, None)
     # rows and columns fine, diagonal off
     assert check_magic(SquareMatrix.identity(2)) == (False, None)
+
+
+def test_check_magic_reads_the_anti_diagonal():
+    # rows, columns and the main diagonal all sum to 1; the anti-diagonal to 0
+    m = SquareMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert oracle_check_magic(m) == check_magic(m) == (False, None)
+
+
+def test_check_magic_reads_every_column():
+    # swapping the off-diagonal ends of the middle row keeps every row and
+    # both diagonals at 12 and breaks columns 0 and 2 (column sums total
+    # the row sums, so a single failing column cannot occur)
+    m = SquareMatrix([[7, 0, 5], [6, 4, 2], [3, 8, 1]])
+    assert [sum(c) for c in zip(*m.rows)] == [16, 12, 8]
+    assert oracle_check_magic(m) == check_magic(m) == (False, None)
+
+
+def test_check_magic_reads_every_row():
+    # swapping two off-diagonal entries of one column keeps row 0, every
+    # column and both diagonals and breaks rows 1 and 2
+    rows = [list(r) for r in frierson9("A").rows]
+    rows[1][4], rows[2][4] = rows[2][4], rows[1][4]
+    m = SquareMatrix(rows)
+    assert [sum(r) == 360 for r in m.rows] == [True, False, False] + [True] * 6
+    assert oracle_check_magic(m) == check_magic(m) == (False, None)
 
 
 def test_check_regular():
@@ -147,6 +228,7 @@ def test_verify_report_on_a_non_magic_matrix():
     assert rep.summation_index is None
     assert rep.is_regular is None
     assert rep.to_json()["is_regular"] is None
+    assert rep.frobenius_sq == 3 and not rep.fnc_pass
 
 
 signed = st.integers(min_value=-40, max_value=40)
@@ -163,3 +245,60 @@ def test_family_squares_always_pass_magic_and_regular(triples):
 @given(st.integers(min_value=2, max_value=30))
 def test_frobenius_target_matches_the_power_sum(n):
     assert frobenius_norm_target(n) == sum(k * k for k in range(n * n))
+
+
+@st.composite
+def phased_squares(draw):
+    """A phased Lucas square at level 1 or 2; small parameters give repeats."""
+    level = draw(st.integers(1, 2))
+    part = st.integers(-4, 4)
+    triples = draw(st.lists(st.tuples(part, part, part), min_size=level, max_size=level))
+    return apply_phase(lucas(triples), draw(st.sampled_from(PHASE_NAMES)))
+
+
+@st.composite
+def edited_squares(draw):
+    """A phased square with one entry changed or two entries swapped."""
+    rows = [list(r) for r in draw(phased_squares()).rows]
+    cell = st.tuples(*[st.integers(0, len(rows) - 1)] * 2)
+    (i, j), (k, l) = draw(cell), draw(cell)
+    if draw(st.booleans()):
+        rows[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+    else:
+        rows[i][j], rows[k][l] = rows[k][l], rows[i][j]
+    return SquareMatrix(rows)
+
+
+@st.composite
+def random_matrices(draw):
+    """Integer or Fraction matrices of orders 1-6: permutations of
+    0..n*n-1, constant matrices and entries around that range.  A Random
+    seeded by hypothesis fills the entries."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("natural", "constant", "integer", "fraction")))
+    flat = [rnd.randint(-1, n * n) for _ in range(n * n)]
+    if kind == "natural":
+        flat = rnd.sample(range(n * n), n * n)
+    elif kind == "constant":
+        flat = [flat[0]] * (n * n)
+    elif kind == "fraction":
+        flat = [Fraction(x, rnd.choice((1, 1, 2, 3))) for x in flat]
+    return SquareMatrix([flat[i : i + n] for i in range(0, n * n, n)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(phased_squares(), edited_squares()))
+def test_checks_match_the_oracles_on_phased_squares(m):
+    assert_checks_match_the_oracles(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_matrices())
+def test_checks_match_the_oracles_on_random_matrices(m):
+    assert_checks_match_the_oracles(m)
+
+
+def test_checks_match_the_oracles_on_the_fixtures(m5):
+    for m in (m5, frierson9("A"), lucas3(4, 3, 1) * Fraction(1, 2)):
+        assert_checks_match_the_oracles(m)
