@@ -16,7 +16,8 @@ triple is the innermost factor.  Block (a, b) of the next square is the inner
 square plus L3[a][b], so entry (i, j) of a level-l square is the sum over
 levels k of L3(c_k, v_k, y_k)[d_k(i)][d_k(j)], with d_k the k-th base-3
 digit (level 1 the least significant); `lucas` builds the rows that way,
-and `spectra.matrix_power` builds powers with the same kernel.
+`spectra.matrix_power` builds powers with the same kernel, and the
+decomposition factors read each entry's value-table index from it.
 `compound_once` keeps the Kronecker form as a reference.
 
 The eight dihedral images of a square (its phases) act on the parameters by

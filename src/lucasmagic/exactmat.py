@@ -103,13 +103,13 @@ class _Slots:
 
 
 def _integer_form(m: "SquareMatrix"):
-    """(rows, d, max |entry|) for the integer matrix d*m, d the lcm of m's denominators."""
+    """(rows, d) for the integer matrix d*m, d the lcm of m's denominators."""
     rows = m.rows
     d = 1
     if set(map(type, chain.from_iterable(rows))) != {int}:
         d = lcm(*{x.denominator for x in chain.from_iterable(rows)})
         rows = [[int(x * d) for x in r] for r in rows]
-    return rows, d, max(max(max(r), -min(r)) for r in rows)
+    return rows, d
 
 
 def _packed_dot(coeffs, packed) -> int:
@@ -130,8 +130,8 @@ def _integer_operands(a: "SquareMatrix", b: "SquareMatrix"):
     """
     if a.n != b.n:
         raise ValueError("size mismatch")
-    ra, da, ma = _integer_form(a)
-    rb, db, mb = _integer_form(b)
+    (ra, da), (rb, db) = _integer_form(a), _integer_form(b)
+    ma, mb = (max(max(max(r), -min(r)) for r in rows) for rows in (ra, rb))
     return ra, rb, da * db, _Slots(a.n, max(a.n * ma * mb, ma, mb))
 
 

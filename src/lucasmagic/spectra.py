@@ -12,6 +12,8 @@ The diagonals are kept in a fixed block order: mu first, the per-level
 pairs (innermost level first), zeros last.  The eigenvector and
 singular-vector matrices are Kronecker products of order-3 factors
 (outermost factor on the left), with their columns taken in that order.
+Each distinct product of order-3 entries is formed once, in a per-level value
+table indexed by the digit walk that builds the squares (construct._block_sum).
 """
 
 from __future__ import annotations
@@ -113,34 +115,10 @@ def s3(v: int, y: int) -> Rows:
     )
 
 
-def _radical_rows(rows) -> Rows:
-    return tuple(tuple(RadicalSum(x) for x in row) for row in rows)
-
-
-def _u3() -> Rows:
-    h, s2, s6 = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
-    return _radical_rows(
-        [
-            [Radical(h, 3), Radical(-s2, 2), Radical(s6, 6)],
-            [Radical(h, 3), 0, Radical(-h, 6)],
-            [Radical(h, 3), Radical(s2, 2), Radical(s6, 6)],
-        ]
-    )
-
-
-def _v3() -> Rows:
-    h, s2, s6 = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
-    return _radical_rows(
-        [
-            [Radical(h, 3), Radical(-s6, 6), Radical(s2, 2)],
-            [Radical(h, 3), Radical(h, 6), 0],
-            [Radical(h, 3), Radical(-s6, 6), Radical(-s2, 2)],
-        ]
-    )
-
-
-U3 = _u3()
-V3 = _v3()
+# The order-3 singular-vector factors, columns for 3c, phi and psi
+_R3, _R2, _R6 = (Radical(Fraction(1, d), d) for d in (3, 2, 6))  # 1/sqrt(d)
+U3 = ((_R3, -_R2, _R6), (_R3, Radical(0), -2 * _R6), (_R3, _R2, _R6))
+V3 = ((_R3, -_R6, _R2), (_R3, 2 * _R6, Radical(0)), (_R3, -_R6, -_R2))
 
 
 @dataclass(frozen=True)
@@ -195,20 +173,27 @@ def svd_matrices(triples) -> DecompositionMatrices:
 def _block_product(blocks, columns, negated=frozenset()) -> Rows:
     """The rows of the matrix whose entry (i, p) is the product over k of
     blocks[k][d_k(i)][d_k(columns[p])], negated when p is in negated, with
-    d_k the k-th base-3 digit (blocks[0] the least significant): the
-    multiplicative twin of construct._block_sum.
+    d_k the k-th base-3 digit (blocks[0] the least significant).
 
     This is the Kronecker product of the blocks, outermost on the left, with
-    its columns taken in the given order and the flagged ones negated.
+    its columns taken in the given order and the flagged ones negated.  Level
+    k extends a value table by its block's distinct values, so construct._block_sum
+    writes each entry's table index: sum over k of value index * prior table size.
     """
-    rows = blocks[0]
-    for block in blocks[1:]:
-        rows = [
-            [s * x for s in outer_row for x in r] for outer_row in block for r in rows
-        ]
+    table = [RadicalSum(1)]
+    index_blocks = []
+    for block in blocks:
+        index = {}  # the block's distinct values, in first-seen order
+        index_blocks.append(
+            [[index.setdefault(x, len(index)) * len(table) for x in r] for r in block]
+        )
+        table = [t * x for x in index for t in table]
     return tuple(
-        tuple(-row[j] if p in negated else row[j] for p, j in enumerate(columns))
-        for row in rows
+        tuple(
+            -table[r[j]] if p in negated else table[r[j]]
+            for p, j in enumerate(columns)
+        )
+        for r in _block_sum(index_blocks).rows
     )
 
 
@@ -219,9 +204,13 @@ def _block_product(blocks, columns, negated=frozenset()) -> Rows:
 
 
 def _complex_array(rows) -> np.ndarray:
+    """complex() once per distinct entry object: factor rows share their
+    value table's objects, and the rows keep every id alive and unique."""
     import numpy as np
 
-    return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
+    distinct = {id(x): x for row in rows for x in row}
+    approx = {k: complex(x) for k, x in distinct.items()}
+    return np.array([[approx[id(x)] for x in row] for row in rows], dtype=complex)
 
 
 def _diag_complex(values) -> np.ndarray:

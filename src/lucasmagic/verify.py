@@ -42,6 +42,11 @@ def check_regular(m: SquareMatrix) -> bool:
     is_magic, mu = check_magic(m)
     if not is_magic:
         raise ValueError("regularity is defined for magic squares only")
+    return _centrosymmetric(m, mu)
+
+
+def _centrosymmetric(m: SquareMatrix, mu) -> bool:
+    """check_regular for a magic square whose line sum mu is known."""
     n, target = m.n, 2 * mu
     flat = list(m.entries())
     return all(n * (a + b) == target for a, b in zip(flat, reversed(flat)))
@@ -143,7 +148,7 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
         order=m.n,
         is_magic=is_magic,
         summation_index=mu,
-        is_regular=check_regular(m) if is_magic else None,
+        is_regular=_centrosymmetric(m, mu) if is_magic else None,
         frobenius_sq=frobenius_sq,
         fnc_pass=frobenius_sq == frobenius_norm_target(m.n),
         is_natural=check_natural(m),

@@ -250,6 +250,9 @@ SPECTRA_STDOUT = [  # params, whether the eigenvector matrix is refused, digest
     ("4,3,1;36,27,9;324,243,81;2916,2187,729", False,
      "f73cd5adc990967c08baf1bf7dec4ef1c65680f953dfdd582637dc395b18609c"),
     ("0,0,0", True, "79931572d4320d7aa336d09b8d108f03ecefd622b1c858a51d961731488a2d70"),
+    # the natural level-5 square
+    ("4,3,1;36,27,9;324,243,81;2916,2187,729;26244,19683,6561", False,
+     "ce4592547d98126f16b2de02c606afadac8e77710e15c138dd5f895e0db6f827"),
 ]
 
 

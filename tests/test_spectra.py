@@ -358,11 +358,11 @@ def _kron_chain_factors(triples):
     return s, _scale_columns(_permute_columns(u, order), signs), _permute_columns(v, order)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_factors_match_the_kron_chain(level):
     rng = random.Random(level)
     cases = [[(rng.randint(-40, 40), rng.randint(-20, 20), rng.randint(-20, 20))
-              for _ in range(level)] for _ in range(6 if level < 3 else 2)]
+              for _ in range(level)] for _ in range({1: 6, 2: 6, 3: 2, 4: 1}[level])]
     cases.append([(1, 2, 2)] + [(3, 1, -1)] * (level - 1))  # v = +-y: no S
     for triples in cases:
         s, u, v = _kron_chain_factors(triples)
@@ -385,3 +385,27 @@ def test_spectrum_report_splits_a_few_radicands_per_level(monkeypatch):
     # the splits are the closed-form values' own radicands; the factor
     # matrices' products and sums split nothing
     assert len(calls) <= 10 * len(triples)
+
+
+def test_spectrum_report_forms_each_factor_product_once(monkeypatch):
+    # a level-4 factor has 6561 entries, but S has at most 4 distinct values
+    # per level and U, V at most 6, so the value tables hold 4^4 + 2 * 6^4
+    # products: the entries share them, and complex() runs once per product
+    triples = ((4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729))
+    calls = {"mul": 0, "complex": 0}
+    mul, to_complex = RadicalSum.__mul__, RadicalSum.__complex__
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counted_complex(a):
+        calls["complex"] += 1
+        return to_complex(a)
+
+    monkeypatch.setattr(RadicalSum, "__mul__", counted_mul)
+    monkeypatch.setattr(RadicalSum, "__complex__", counted_complex)
+    report = spectrum_report(triples)
+    assert report.jcf_residual < 1e-12 and report.svd_residual < 1e-12
+    assert 0 < calls["mul"] <= 5000
+    assert 0 < calls["complex"] <= 5000

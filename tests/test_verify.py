@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lucasmagic import verify
 from lucasmagic.construct import PHASE_NAMES, apply_phase, frierson9, lucas, lucas3
 from lucasmagic.exactmat import SquareMatrix
 from lucasmagic.verify import (
@@ -229,6 +230,17 @@ def test_verify_report_on_a_non_magic_matrix():
     assert rep.is_regular is None
     assert rep.to_json()["is_regular"] is None
     assert rep.frobenius_sq == 3 and not rep.fnc_pass
+
+
+def test_verify_report_checks_magic_once(monkeypatch):
+    pan = SquareMatrix([[1, 14, 11, 8], [15, 4, 5, 10], [6, 9, 16, 3], [12, 7, 2, 13]])
+    check = verify.check_magic
+    for m, regular in ((frierson9("A"), True), (pan, False)):
+        calls = []
+        monkeypatch.setattr(verify, "check_magic", lambda x: calls.append(x) or check(x))
+        rep = verify_report(m)
+        assert len(calls) == 1
+        assert rep.is_magic and rep.is_regular is regular
 
 
 signed = st.integers(min_value=-40, max_value=40)
