@@ -5,6 +5,11 @@ commute, tables.  Exit codes: 0 success, 1 a checked property came out
 false (e.g. `verify --expect natural` on a non-natural square), 2 usage
 or input errors.  All data output is deterministic — identical
 invocations produce byte-identical bytes.
+
+Only `construct` and `exactmat`, which argument parsing and the shared
+helpers need, are imported at module level.  Each `_cmd_*` function imports
+the other layers it uses, so a call loads only its own subcommand's modules
+(`generate` loads no other).
 """
 
 from __future__ import annotations
@@ -15,11 +20,6 @@ import re
 import sys
 from pathlib import Path
 
-from .algebra import (
-    FIER9_EXPECTED_PAIRS,
-    commuting_pair_report,
-    fier9_commuting_pairs,
-)
 from .construct import (
     FRIERSON9_SETS,
     format_lucas_params,
@@ -29,17 +29,7 @@ from .construct import (
     parse_frierson_params,
     parse_lucas_params,
 )
-from .enumeration import census, census_digits, enumerate_fundamental
 from .exactmat import SquareMatrix
-from .spectra import (
-    _spectral_row,
-    lucas3_inverse,
-    matrix_power,
-    matrix_power_digits,
-    spectrum_report,
-    table1_row,
-)
-from .verify import recover_lucas_params, verify_report
 
 # Table 1 pairs letters whose squares share a spectrum; keep its row order.
 _TABLE1_ROWS = (("A", "G"), ("D", "J"), ("B", "H"), ("E", "K"), ("C", "I"), ("F", "L"))
@@ -96,6 +86,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_report
+
     m = _read_matrix(args.matrix, args.format)
     report = verify_report(m)
     out = report.to_json()
@@ -133,6 +125,8 @@ def _cmd_verify(args) -> int:
 def _spectra_markdown(triples) -> str:
     """One Table-1-style markdown row for any level: |lambda_i| per level
     and the nonzero sigma/sqrt(3) integers."""
+    from .spectra import _spectral_row
+
     lev = len(triples)
     lams, sigs = _spectral_row(triples)
     head = [f"\\|lambda_{i}\\|" for i in range(1, lev + 1)]
@@ -147,6 +141,9 @@ def _spectra_markdown(triples) -> str:
 
 
 def _cmd_spectra(args) -> int:
+    from .spectra import spectrum_report
+    from .verify import recover_lucas_params
+
     if args.matrix is not None:
         m = _read_matrix(args.matrix, "auto")
         triples = recover_lucas_params(m)
@@ -180,6 +177,8 @@ def _refuse_unprintable(digits: float, what: str) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import census, census_digits, enumerate_fundamental
+
     _refuse_unprintable(
         census_digits(args.level, args.family if args.fundamental else None),
         f"enumerate --level {args.level} would print integers",
@@ -209,6 +208,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from .spectra import matrix_power, matrix_power_digits
+
     triples = _parse_family_params(args.family, args.params, args.level)
     # Some entry has at least the largest term's digits minus one.
     _refuse_unprintable(
@@ -219,6 +220,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
+    from .spectra import lucas3_inverse
+
     triples = parse_lucas_params(args.params)
     if len(triples) != 1:
         raise ValueError("inverse takes a single order-3 triple c,v,y")
@@ -227,6 +230,8 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_commute(args) -> int:
+    from .algebra import FIER9_EXPECTED_PAIRS, commuting_pair_report, fier9_commuting_pairs
+
     if args.suite is not None:
         found = fier9_commuting_pairs()
         expected = sorted(tuple(sorted(p)) for p in FIER9_EXPECTED_PAIRS)
@@ -252,6 +257,9 @@ def _cmd_commute(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .enumeration import census
+    from .spectra import table1_row
+
     if args.which == 1:
         rows = []
         for first, second in _TABLE1_ROWS:

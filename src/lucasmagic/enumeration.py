@@ -57,13 +57,6 @@ def frierson_fundamental_formula(level: int) -> int:
     return frierson_total(level) // 2
 
 
-def frierson_paired_convention_count(level: int) -> int:
-    """(2l)!/2^l — the stricter counting convention that also identifies
-    the level-swapped partners; 6 at level 2 and 90 at level 3, versus the
-    8-phase-only counts of 12 and 360 used everywhere else here."""
-    return factorial(2 * level) // 2 ** level
-
-
 def double_factorial_odd(level: int) -> int:
     """(2l - 1)!! — the count of distinct singular-value multisets."""
     return prod(range(1, 2 * level, 2))

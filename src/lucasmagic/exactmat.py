@@ -169,13 +169,6 @@ class SquareMatrix:
         return SquareMatrix([[1] * n for _ in range(n)])
 
     @staticmethod
-    def cross_identity(n: int) -> "SquareMatrix":
-        """The reversal permutation (ones on the anti-diagonal)."""
-        return SquareMatrix(
-            [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
     def zero(n: int) -> "SquareMatrix":
         return SquareMatrix([[0] * n for _ in range(n)])
 
@@ -240,18 +233,6 @@ class SquareMatrix:
         ra, rb, d, slots = _integer_operands(self, other)
         pb = slots.pack(rb)
         return _scaled([slots.unpack(_packed_dot(x, pb)) for x in ra], d)
-
-    def __pow__(self, k: int) -> "SquareMatrix":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = SquareMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
-        return out
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(list(zip(*self.rows)))
@@ -334,7 +315,10 @@ class SquareMatrix:
     @staticmethod
     def from_json(obj) -> "SquareMatrix":
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            try:
+                obj = json.loads(obj)
+            except RecursionError:
+                raise ValueError("json matrix is nested too deeply") from None
         rows = obj.get("rows") if isinstance(obj, dict) else None
         if not isinstance(rows, list) or not all(
             isinstance(r, list) and all(type(x) is int for x in r) for r in rows

@@ -469,8 +469,13 @@ class RadicalSum:
 
 
 def _coerce_sum(x) -> RadicalSum | None:
+    """x as a RadicalSum; a scalar is already one canonical term (or zero),
+    so it is wrapped without the merge and sort of RadicalSum.__init__."""
     if isinstance(x, RadicalSum):
         return x
-    if isinstance(x, (Radical, int, Fraction)):
-        return RadicalSum(x)
-    return None
+    r = _coerce(x)
+    if r is None:
+        return None
+    s = object.__new__(RadicalSum)
+    object.__setattr__(s, "_terms", (r,) if r.radicand else ())
+    return s

@@ -31,11 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def lam(v: int, y: int) -> Radical:
-    """lambda(v, y) = sqrt(3(v^2 - y^2)); imaginary for y^2 > v^2."""
-    return Radical(1, 3 * (v * v - y * y))
-
-
 def omega(v: int, y: int) -> Radical:
     """Omega = 3(v+y)/lambda — the eigenvector entry offset; needs v^2 != y^2."""
     disc = v * v - y * y
@@ -86,11 +81,6 @@ def singular_values(triples) -> list[Radical]:
     scale = 3 ** (len(triples) - 1)
     pairs = [Radical(scale * abs(w), 3) for w in _phi_psi_coeffs(triples)]
     return _block_diagonal(Radical(abs(magic_index(triples))), pairs, len(triples))
-
-
-def sorted_singular_values(triples) -> list[Radical]:
-    """Singular values in conventional descending order."""
-    return sorted(singular_values(triples), reverse=True)
 
 
 def nonzero_count(values) -> int:

@@ -156,6 +156,9 @@ def test_verify_malformed_grid(tmp_path, capsys):
         ("float.json", '{"order": 3, "rows": [[1, 2, 3], [4, 5.0, 6], [7, 8, 9]]}'),
         ("rows_int.json", '{"order": 3, "rows": 5}'),
         ("zero_den.txt", "1 2 3\n4 1/0 6\n7 8 9\n"),
+        pytest.param(
+            "deep.json", '{"rows": ' + "[" * 200_000 + "]" * 200_000 + "}", id="deep.json"
+        ),
     ],
 )
 def test_verify_malformed_input_exits_2(tmp_path, name, text):
@@ -359,7 +362,8 @@ def test_enumerate_refuses_unprintable_levels_up_front(extra, count):
 def test_power_matches_exact_multiplication(capsys):
     rc, out, _ = run(capsys, "power", "--params", "4,3,1", "-k", "3")
     assert rc == 0
-    assert SquareMatrix.from_grid(out) == lucas3(4, 3, 1) ** 3
+    m = lucas3(4, 3, 1)
+    assert SquareMatrix.from_grid(out) == m @ m @ m
 
 
 def test_power_level2(capsys):
@@ -367,14 +371,16 @@ def test_power_level2(capsys):
         capsys, "power", "--family", "frierson", "--params", "3,1;27,9", "-k", "2"
     )
     assert rc == 0
-    assert SquareMatrix.from_grid(out) == frierson9("A") ** 2
+    m = frierson9("A")
+    assert SquareMatrix.from_grid(out) == m @ m
 
 
 def test_power_level3(capsys):
     params = "4,3,-1;36,-9,27;324,81,243"
     rc, out, _ = run(capsys, "power", "--params", params, "-k", "3")
     assert rc == 0
-    assert SquareMatrix.from_grid(out) == lucas(parse_lucas_params(params)) ** 3
+    m = lucas(parse_lucas_params(params))
+    assert SquareMatrix.from_grid(out) == m @ m @ m
 
 
 @pytest.mark.parametrize("cell", ["1e2000000", "1e9999999999"])
@@ -437,15 +443,39 @@ def test_params_value_may_start_with_a_minus(capsys, argv):
     assert (rc, out, err) == run(capsys, cmd, f"--params={value}", *rest)
 
 
-def test_library_and_generate_do_not_load_numpy():
+@pytest.mark.parametrize(
+    "argv,layers",
+    [
+        ([], ()),
+        (["generate", "--params=4,3,1"], ("cli", "construct", "exactmat")),
+        (["verify", "{a}"], ("cli", "construct", "exactmat", "verify")),
+        (["commute", "{a}", "{b}"], ("algebra", "cli", "construct", "exactmat", "verify")),
+    ],
+    ids=["import", "generate", "verify", "commute"],
+)
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    # `import lucasmagic` loads no submodule, and each command only the
+    # layers it uses: no radical, spectra or numpy outside their commands
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(lucas3(4, 3, 1).to_grid())
+    b.write_text(lucas3(4, -3, 1).to_grid())
     code = (
-        "import sys, lucasmagic.cli as cli\n"
-        "cli.main(['generate', '--params=4,3,1'])\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "import json, sys\n"
+        "import lucasmagic\n"
+        "if sys.argv[1:]:\n"
+        "    import lucasmagic.cli\n"
+        "    lucasmagic.cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'numpy' or m.startswith('lucasmagic.'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(x.format(a=a, b=b) for x in argv)],
+        capture_output=True, text=True, env=env,
+    )
     assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == [f"lucasmagic.{name}" for name in layers]
 
 
 def test_inverse(capsys):

@@ -119,6 +119,11 @@ def test_eight_phases_match_parameter_action():
         assert apply_phase(m, phase) == lucas(phase_parameters(((4, 3, 1),), phase))
 
 
+def cross_identity(n):
+    """The reversal permutation R (ones on the anti-diagonal)."""
+    return SquareMatrix([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+
+
 def test_phase_matrix_forms():
     for triples in (
         ((4, 3, 1),),
@@ -126,7 +131,7 @@ def test_phase_matrix_forms():
         ((4, 3, -1), (36, 9, 27), (324, -243, 81)),
     ):
         m = lucas(triples)
-        r = SquareMatrix.cross_identity(m.n)
+        r = cross_identity(m.n)
         assert apply_phase(m, "identity") == m
         assert apply_phase(m, "mr") == m @ r
         assert apply_phase(m, "rm") == r @ m

@@ -42,13 +42,22 @@ def test_double_factorial():
     assert [double_factorial_odd(l) for l in (1, 2, 3, 4)] == [1, 3, 15, 105]
 
 
+def frierson_paired_convention_count(level):
+    """(2l)!/2^l: the stricter counting convention that also identifies
+    the level-swapped partners; 6 at level 2 and 90 at level 3, versus the
+    8-phase-only counts of 12 and 360 the library uses."""
+    return factorial(2 * level) // 2 ** level
+
+
 def test_paired_convention_count():
     # the alternative dedup (independent within-pair swaps): (2l)!/2^l
-    from lucasmagic.enumeration import frierson_paired_convention_count
-
     assert [frierson_paired_convention_count(l) for l in (1, 2, 3)] == [1, 6, 90]
-    for l in (1, 2, 3, 4):
-        assert frierson_paired_convention_count(l) == factorial(2 * l) // 2 ** l
+    for l in (1, 2, 3):
+        classes = {
+            tuple(tuple(sorted((v, y))) for _, v, y in t)
+            for t in natural_parameter_assignments(l, "frierson")
+        }
+        assert len(classes) == frierson_paired_convention_count(l)
 
 
 def test_assignments_level1():

@@ -247,6 +247,22 @@ def test_radical_sum_embeds_scalars():
     assert RadicalSum(Radical(1, 2)) - Radical(1, 2) == RadicalSum()
 
 
+def test_scalar_operand_is_wrapped_not_rebuilt(monkeypatch):
+    a, b = RadicalSum(1), Radical(1, 3)
+    init, calls = RadicalSum.__init__, []
+
+    def counted(self, terms=()):
+        calls.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(RadicalSum, "__init__", counted)
+    product = a * b
+    assert len(calls) == 1  # the product only; b joins as a one-term sum
+    assert product.terms() == (b,)
+    assert (a * 0).is_zero() and (a * Radical(0)).is_zero()
+    assert (a * Fraction(1, 2)).terms() == (Radical(Fraction(1, 2)),)
+
+
 @given(st.lists(st.tuples(coeffs, radicands), max_size=4),
        st.lists(st.tuples(coeffs, radicands), max_size=4))
 def test_radical_sum_product_matches_complex(xs, ys):
