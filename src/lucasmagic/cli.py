@@ -122,29 +122,28 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _spectra_markdown(triples) -> str:
-    """One Table-1-style markdown row for any level: |lambda_i| per level
-    and the nonzero sigma/sqrt(3) integers."""
-    from .spectra import _spectral_row
+def _markdown(head, rows) -> None:
+    """Print a markdown table: the header, the |---| rule, one line per row."""
+    print("| " + " | ".join(head) + " |")
+    print("|" + "---|" * len(head))
+    for row in rows:
+        print("| " + " | ".join(map(str, row)) + " |")
 
-    lev = len(triples)
-    lams, sigs = _spectral_row(triples)
-    head = [f"\\|lambda_{i}\\|" for i in range(1, lev + 1)]
-    head += [f"sigma_{j}/sqrt(3)" for j in range(2, 2 * lev + 2)]
-    row = [format_lucas_params(triples), *lams, *map(str, sigs)]
-    lines = [
-        "| " + " | ".join(["params"] + head) + " |",
-        "|" + "---|" * (len(head) + 1),
-        "| " + " | ".join(row) + " |",
-    ]
-    return "\n".join(lines) + "\n"
+
+def _spectral_head(level: int) -> list[str]:
+    """Column names of a level's spectral row: |lambda_i| per level, then the
+    nonzero sigma_j/sqrt(3) after sigma_1 = |mu|."""
+    head = [f"\\|lambda_{i}\\|" for i in range(1, level + 1)]
+    return head + [f"sigma_{j}/sqrt(3)" for j in range(2, 2 * level + 2)]
 
 
 def _cmd_spectra(args) -> int:
-    from .spectra import spectrum_report
+    from .spectra import _spectral_row, spectrum_report
     from .verify import recover_lucas_params
 
     if args.matrix is not None:
+        if args.params is not None or args.level is not None:
+            raise ValueError("a matrix file takes no --params or --level")
         m = _read_matrix(args.matrix, "auto")
         triples = recover_lucas_params(m)
         if triples is None:
@@ -159,7 +158,9 @@ def _cmd_spectra(args) -> int:
     report = spectrum_report(triples)
     print(json.dumps(report.to_json(), indent=2))
     print()
-    sys.stdout.write(_spectra_markdown(triples))
+    lams, sigs = _spectral_row(triples)
+    head = ["params", *_spectral_head(len(triples))]
+    _markdown(head, [[format_lucas_params(triples), *lams, *sigs]])
     return 0
 
 
@@ -177,8 +178,14 @@ def _refuse_unprintable(digits: float, what: str) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import census, census_digits, enumerate_fundamental
+    from .enumeration import (MATERIALIZATION_CEILING, census, census_digits,
+                              enumerate_fundamental)
 
+    if args.emit is not None and (not args.fundamental or args.count_only):
+        raise ValueError("--emit needs --fundamental and takes no --count-only")
+    if args.emit is not None and args.level > MATERIALIZATION_CEILING:
+        raise ValueError(f"--emit needs --level <= {MATERIALIZATION_CEILING}, "
+                         "the materialization ceiling")
     _refuse_unprintable(
         census_digits(args.level, args.family if args.fundamental else None),
         f"enumerate --level {args.level} would print integers",
@@ -186,9 +193,7 @@ def _cmd_enumerate(args) -> int:
     if not args.fundamental:
         print(json.dumps(census(args.level).to_json(), indent=2))
         return 0
-    result = enumerate_fundamental(
-        args.level, args.family, emit_matrices=args.emit is not None
-    )
+    result = enumerate_fundamental(args.level, args.family)
     if args.count_only or result.representatives is None:
         print(result.fundamental_count)
         return 0
@@ -233,6 +238,8 @@ def _cmd_commute(args) -> int:
     from .algebra import FIER9_EXPECTED_PAIRS, commuting_pair_report, fier9_commuting_pairs
 
     if args.suite is not None:
+        if args.matrices:
+            raise ValueError("--suite takes no matrix files")
         found = fier9_commuting_pairs()
         expected = sorted(tuple(sorted(p)) for p in FIER9_EXPECTED_PAIRS)
         ok = found == expected
@@ -261,33 +268,20 @@ def _cmd_tables(args) -> int:
     from .spectra import table1_row
 
     if args.which == 1:
+        def cells(letter):
+            r = table1_row(*FRIERSON9_SETS[letter])
+            return [r["abs_lambda1"], r["abs_lambda2"], *r["sigma_over_sqrt3"]]
+
         rows = []
         for first, second in _TABLE1_ROWS:
-            r1 = table1_row(*FRIERSON9_SETS[first])
-            r2 = table1_row(*FRIERSON9_SETS[second])
-            if (r1["abs_lambda1"], r1["abs_lambda2"], r1["sigma_over_sqrt3"]) != (
-                r2["abs_lambda1"],
-                r2["abs_lambda2"],
-                r2["sigma_over_sqrt3"],
-            ):  # pragma: no cover - fixture letters always pair up
+            row = cells(first)
+            if row != cells(second):  # pragma: no cover - fixture letters always pair up
                 raise AssertionError(f"{first} and {second} no longer share a row")
-            rows.append((f"{first}, {second}", r1))
-        print("| v,y,s,t | \\|lambda_1\\| | \\|lambda_2\\| | "
-              "sigma_2/sqrt(3) | sigma_3/sqrt(3) | sigma_4/sqrt(3) | sigma_5/sqrt(3) |")
-        print("|---|---|---|---|---|---|---|")
-        for label, r in rows:
-            sig = " | ".join(str(x) for x in r["sigma_over_sqrt3"])
-            print(f"| {label} | {r['abs_lambda1']} | {r['abs_lambda2']} | {sig} |")
+            rows.append([f"{first}, {second}", *row])
+        _markdown(["v,y,s,t", *_spectral_head(2)], rows)
     else:
-        print("| l | n | mu | N_L | N_F | rank | N_SV |")
-        print("|---|---|---|---|---|---|---|")
-        for lev in range(1, 7):
-            row = census(lev)
-            print(
-                f"| {row.level} | {row.order:,} | {row.mu:,} "
-                f"| {row.lucas_fundamental:,} | {row.frierson_fundamental:,} "
-                f"| {row.rank} | {row.sv_classes:,} |"
-            )
+        rows = [[f"{x:,}" for x in census(lev).to_json().values()] for lev in range(1, 7)]
+        _markdown(["l", "n", "mu", "N_L", "N_F", "rank", "N_SV"], rows)
     return 0
 
 

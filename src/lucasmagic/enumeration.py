@@ -145,7 +145,6 @@ class EnumerationResult:
 def enumerate_fundamental(
     level: int,
     family: str = "lucas",
-    emit_matrices: bool = False,
     ceiling: int = MATERIALIZATION_CEILING,
 ) -> EnumerationResult:
     """Count (and below the ceiling, materialize) the fundamental squares.
@@ -165,10 +164,6 @@ def enumerate_fundamental(
     )
     total = lucas_total(level) if family == "lucas" else frierson_total(level)
     if level > ceiling:
-        if emit_matrices:
-            raise ValueError(
-                f"level {level} exceeds the materialization ceiling ({ceiling})"
-            )
         reps = None
     else:
         reps = tuple(fundamental_representatives(level, family))

@@ -88,10 +88,10 @@ def nonzero_count(values) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition factors, as tuples of rows of RadicalSum entries
+# Decomposition factors, as tuples of rows: RadicalSum entries in S, Radical in U, V
 # ---------------------------------------------------------------------------
 
-Rows = tuple[tuple[RadicalSum, ...], ...]
+Rows = tuple[tuple[Radical | RadicalSum, ...], ...]
 
 
 def s3(v: int, y: int) -> Rows:
@@ -169,8 +169,10 @@ def _block_product(blocks, columns, negated=frozenset()) -> Rows:
     its columns taken in the given order and the flagged ones negated.  Level
     k extends a value table by its block's distinct values, so construct._block_sum
     writes each entry's table index: sum over k of value index * prior table size.
+    The table starts from the integer 1, so its entries have the blocks' own
+    scalar type: Radical products cost one gcd and are never boxed as sums.
     """
-    table = [RadicalSum(1)]
+    table = [1]
     index_blocks = []
     for block in blocks:
         index = {}  # the block's distinct values, in first-seen order
@@ -203,31 +205,29 @@ def _complex_array(rows) -> np.ndarray:
     return np.array([[approx[id(x)] for x in row] for row in rows], dtype=complex)
 
 
-def _diag_complex(values) -> np.ndarray:
-    import numpy as np
-
-    return np.diag([complex(r) for r in values])
-
-
 def jcf_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
-    """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0)."""
+    """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0).
+
+    S D scales S's columns; as each D entry is purely real or purely imaginary,
+    every entry rounds as in the dense S @ diag(D)."""
     import numpy as np
 
-    a = np.array(m.to_lists(), dtype=float)
+    a = np.array(m.rows, dtype=float)
     s = _complex_array(dec.s)
-    d = _diag_complex(dec.d)
-    return float(np.linalg.norm(a @ s - s @ d) / (np.linalg.norm(a) or 1.0))
+    d = np.array([complex(r) for r in dec.d])
+    return float(np.linalg.norm(a @ s - s * d) / (np.linalg.norm(a) or 1.0))
 
 
 def svd_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
-    """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0)."""
+    """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0);
+    U Sigma scales U's columns, as S D does in jcf_residual."""
     import numpy as np
 
-    a = np.array(m.to_lists(), dtype=float)
+    a = np.array(m.rows, dtype=float)
     u = _complex_array(dec.u).real
     v = _complex_array(dec.v).real
-    sig = _diag_complex(dec.sigma).real
-    return float(np.linalg.norm(u @ sig @ v.T - a) / (np.linalg.norm(a) or 1.0))
+    sig = np.array([float(r) for r in dec.sigma])
+    return float(np.linalg.norm((u * sig) @ v.T - a) / (np.linalg.norm(a) or 1.0))
 
 
 def orthonormality_residual(rows: Rows) -> float:
@@ -273,7 +273,7 @@ def _radical_json(r: Radical) -> dict:
 def spectrum_report(triples) -> SpectrumReport:
     triples = normalize_triples(triples)
     m = lucas(triples)
-    svs = singular_values(triples)
+    svd = svd_matrices(triples)
     try:
         jr = jcf_residual(m, jcf_matrices(triples))
     except ValueError:
@@ -282,10 +282,10 @@ def spectrum_report(triples) -> SpectrumReport:
         order=m.n,
         mu=magic_index(triples),
         eigenvalues=tuple(eigenvalues(triples)),
-        singular_values=tuple(svs),
-        rank=nonzero_count(svs),
+        singular_values=svd.sigma,
+        rank=nonzero_count(svd.sigma),
         jcf_residual=jr,
-        svd_residual=svd_residual(m, svd_matrices(triples)),
+        svd_residual=svd_residual(m, svd),
     )
 
 
@@ -302,12 +302,12 @@ def table1_row(v: int, y: int, s: int, t: int) -> dict:
 
 
 def _spectral_row(triples) -> tuple[list[str], list[int]]:
-    """|lambda_i| per level as strings, and sigma_2..sigma_(2l+1) / sqrt(3)
-    as the integers 3^(l-1) |v_i +- y_i|, read from the closed form."""
+    """|lambda_i| = 3^(l-1) sqrt(3 |v_i^2 - y_i^2|) per level as strings, and
+    sigma_2..sigma_(2l+1) / sqrt(3) as the integers 3^(l-1) |v_i +- y_i|,
+    read from the closed form."""
     triples = normalize_triples(triples)
-    evs = eigenvalues(triples)
-    lams = [str(abs(evs[2 * i + 1])) for i in range(len(triples))]
     scale = 3 ** (len(triples) - 1)
+    lams = [str(Radical(scale, 3 * abs(v * v - y * y))) for _, v, y in triples]
     return lams, [scale * abs(w) for w in _phi_psi_coeffs(triples)]
 
 

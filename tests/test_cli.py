@@ -256,6 +256,9 @@ SPECTRA_STDOUT = [  # params, whether the eigenvector matrix is refused, digest
     # the natural level-5 square
     ("4,3,1;36,27,9;324,243,81;2916,2187,729;26244,19683,6561", False,
      "ce4592547d98126f16b2de02c606afadac8e77710e15c138dd5f895e0db6f827"),
+    # the natural level-6 square
+    ("4,3,1;36,27,9;324,243,81;2916,2187,729;26244,19683,6561;236196,177147,59049",
+     False, "e60f1306c444e0649b836c443722152f7d14f530cd09b7f5f7bbe93b5e1a857b"),
 ]
 
 
@@ -314,6 +317,33 @@ def test_enumerate_emit(tmp_path, capsys):
     assert len(grids) == 12
     first = SquareMatrix.from_grid(grids[0].read_text())
     assert first.n == 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectra", "{a}", "--params", "4,3,1"),
+        ("spectra", "{a}", "--level", "1"),
+        ("commute", "--suite", "fier9", "{a}", "{a}"),
+        ("commute", "--suite", "fier9", "{missing}"),
+        ("enumerate", "--level", "2", "--emit", "{out}"),
+        ("enumerate", "--level", "2", "--fundamental", "--count-only", "--emit", "{out}"),
+        ("enumerate", "--level", "4", "--fundamental", "--emit", "{out}"),
+    ],
+    ids=[
+        "spectra-file-and-params", "spectra-file-and-level", "commute-suite-and-files",
+        "commute-suite-and-missing-file", "emit-without-fundamental", "emit-count-only",
+        "emit-past-ceiling",
+    ],
+)
+def test_contradictory_arguments_exit_2(tmp_path, capsys, argv):
+    a = tmp_path / "a.txt"
+    a.write_text(lucas3(4, 3, 1).to_grid())
+    paths = {"a": a, "missing": tmp_path / "missing.txt", "out": tmp_path / "out"}
+    rc, out, err = run(capsys, *(x.format(**paths) for x in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [a]
 
 
 @pytest.mark.parametrize(

@@ -183,8 +183,6 @@ def test_enumerate_beyond_the_ceiling_uses_formulas():
     res = enumerate_fundamental(4)
     assert res.representatives is None
     assert res.fundamental_count == 2 ** 8 * factorial(8) // 8
-    with pytest.raises(ValueError):
-        enumerate_fundamental(4, emit_matrices=True)
 
 
 def test_enumeration_result_json():

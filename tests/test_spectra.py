@@ -1,8 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lucasmagic import radical
 from lucasmagic.construct import frierson_to_lucas, lucas, lucas3, magic_index
@@ -393,8 +394,9 @@ def test_spectrum_report_splits_a_few_radicands_per_level(monkeypatch):
 
 def test_spectrum_report_forms_each_factor_product_once(monkeypatch):
     # a level-4 factor has 6561 entries, but S has at most 4 distinct values
-    # per level and U, V at most 6, so the value tables hold 4^4 + 2 * 6^4
-    # products: the entries share them, and complex() runs once per product
+    # per level, so its value table holds 4 + 16 + 64 + 256 RadicalSum
+    # products that the entries share, and complex() runs once per product.
+    # U and V hold single Radicals, whose products are never boxed as sums.
     triples = ((4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729))
     calls = {"mul": 0, "complex": 0}
     mul, to_complex = RadicalSum.__mul__, RadicalSum.__complex__
@@ -411,5 +413,53 @@ def test_spectrum_report_forms_each_factor_product_once(monkeypatch):
     monkeypatch.setattr(RadicalSum, "__complex__", counted_complex)
     report = spectrum_report(triples)
     assert report.jcf_residual < 1e-12 and report.svd_residual < 1e-12
-    assert 0 < calls["mul"] <= 5000
-    assert 0 < calls["complex"] <= 5000
+    assert 0 < calls["mul"] <= 4 + 16 + 64 + 256
+    assert 0 < calls["complex"] <= 256
+
+
+# The residuals with each diagonal as a dense matrix, multiplied in O(n^3):
+# the oracle for the column scaling in jcf_residual and svd_residual.
+
+
+def _dense_array(rows):
+    return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
+
+
+def dense_jcf_residual(m, dec):
+    a = np.array(m.to_lists(), dtype=float)
+    s = _dense_array(dec.s)
+    d = np.diag([complex(r) for r in dec.d])
+    return float(np.linalg.norm(a @ s - s @ d) / (np.linalg.norm(a) or 1.0))
+
+
+def dense_svd_residual(m, dec):
+    a = np.array(m.to_lists(), dtype=float)
+    u = _dense_array(dec.u).real
+    v = _dense_array(dec.v).real
+    sig = np.diag([complex(r) for r in dec.sigma]).real
+    return float(np.linalg.norm(u @ sig @ v.T - a) / (np.linalg.norm(a) or 1.0))
+
+
+wide = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+level_triple = st.one_of(
+    st.tuples(wide, wide, wide),
+    st.tuples(signed, signed, signed),
+    # v = +-y: no eigenvector matrix, and a zero singular value
+    st.builds(lambda c, v, s: (c, v, s * v), wide, wide, st.sampled_from((1, -1))),
+)
+
+
+@given(st.lists(level_triple, min_size=1, max_size=3))
+@example([(4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729)])  # natural, level 4
+@example([(0, 0, 0)])  # zero squares
+@example([(1, 0, 0), (-1, 0, 0)])
+@settings(max_examples=100, deadline=None)
+def test_residuals_match_the_dense_diagonals(triples):
+    # imaginary pairs (|y| > |v|), negative mu and negative v +- y, whose U
+    # columns are negated, all come up among these; the floats agree bit for bit
+    m = lucas(triples)
+    svd = svd_matrices(triples)
+    assert svd_residual(m, svd).hex() == dense_svd_residual(m, svd).hex()
+    if all(v * v != y * y for _, v, y in triples):
+        jcf = jcf_matrices(triples)
+        assert jcf_residual(m, jcf).hex() == dense_jcf_residual(m, jcf).hex()
