@@ -37,8 +37,9 @@ _TABLE1_ROWS = (("A", "G"), ("D", "J"), ("B", "H"), ("E", "K"), ("C", "I"), ("F"
 _EXPECT_CHOICES = ("magic", "regular", "natural", "fnc")
 
 
-def _parse_family_params(family: str, text: str, level=None):
-    """Parameter grammar -> level triples, with an optional level check."""
+def _parse_family_params(family: str | None, text: str, level=None):
+    """Parameter grammar -> level triples, with an optional level check; a
+    family of None (no --family given) reads as lucas."""
     if family == "frierson":
         pairs = parse_frierson_params(text)
         if not frierson_well_formed(pairs):
@@ -142,8 +143,8 @@ def _cmd_spectra(args) -> int:
     from .verify import recover_lucas_params
 
     if args.matrix is not None:
-        if args.params is not None or args.level is not None:
-            raise ValueError("a matrix file takes no --params or --level")
+        if (args.params, args.level, args.family) != (None, None, None):
+            raise ValueError("a matrix file takes no --params, --level or --family")
         m = _read_matrix(args.matrix, "auto")
         triples = recover_lucas_params(m)
         if triples is None:
@@ -183,17 +184,20 @@ def _cmd_enumerate(args) -> int:
 
     if args.emit is not None and (not args.fundamental or args.count_only):
         raise ValueError("--emit needs --fundamental and takes no --count-only")
+    if not args.fundamental and (args.count_only or args.family is not None):
+        raise ValueError("--count-only and --family need --fundamental")
+    family = args.family or "lucas"
     if args.emit is not None and args.level > MATERIALIZATION_CEILING:
         raise ValueError(f"--emit needs --level <= {MATERIALIZATION_CEILING}, "
                          "the materialization ceiling")
     _refuse_unprintable(
-        census_digits(args.level, args.family if args.fundamental else None),
+        census_digits(args.level, family if args.fundamental else None),
         f"enumerate --level {args.level} would print integers",
     )
     if not args.fundamental:
         print(json.dumps(census(args.level).to_json(), indent=2))
         return 0
-    result = enumerate_fundamental(args.level, args.family)
+    result = enumerate_fundamental(args.level, family)
     if args.count_only or result.representatives is None:
         print(result.fundamental_count)
         return 0
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def family_params(p, params_required=True):
-        p.add_argument("--family", choices=("lucas", "frierson"), default="lucas")
+        p.add_argument("--family", choices=("lucas", "frierson"), help="default: lucas")
         p.add_argument(
             "--params",
             required=params_required,
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="census or fundamental representatives")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--family", choices=("lucas", "frierson"), default="lucas")
+    p.add_argument("--family", choices=("lucas", "frierson"), help="default: lucas")
     p.add_argument(
         "--fundamental",
         action="store_true",

@@ -13,7 +13,8 @@ pairs (innermost level first), zeros last.  The eigenvector and
 singular-vector matrices are Kronecker products of order-3 factors
 (outermost factor on the left), with their columns taken in that order.
 Each distinct product of order-3 entries is formed once, in a per-level value
-table indexed by the digit walk that builds the squares (construct._block_sum).
+table indexed by the digit walk that builds the squares (construct._block_sum):
+the exact factor rows read the table per entry, the residuals gather its floats.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .construct import _block_sum, normalize_triples, lucas, lucas3, magic_index
@@ -35,7 +37,7 @@ def omega(v: int, y: int) -> Radical:
     """Omega = 3(v+y)/lambda — the eigenvector entry offset; needs v^2 != y^2."""
     disc = v * v - y * y
     if disc == 0:
-        raise ValueError("omega undefined for v = +-y")
+        raise ValueError(f"degenerate level (v, y) = ({v}, {y}): eigenvector matrix undefined")
     return Radical(Fraction(v + y, disc), 3 * disc)
 
 
@@ -50,13 +52,6 @@ def omega(v: int, y: int) -> Radical:
 def _block_diagonal(mu: Radical, pairs, level: int) -> list[Radical]:
     """mu, the scaled level pairs, then zeros up to 3**level entries."""
     return [mu, *pairs] + [Radical(0)] * (3 ** level - 1 - len(pairs))
-
-
-def _block_columns(level: int) -> list[int]:
-    """The Kronecker column of each block-order slot."""
-    head = [0] + [j * 3 ** k for k in range(level) for j in (1, 2)]
-    taken = set(head)
-    return head + [j for j in range(3 ** level) if j not in taken]
 
 
 def _phi_psi_coeffs(triples) -> list[int]:
@@ -83,12 +78,14 @@ def singular_values(triples) -> list[Radical]:
     return _block_diagonal(Radical(abs(magic_index(triples))), pairs, len(triples))
 
 
-def nonzero_count(values) -> int:
-    return sum(1 for r in values if not r.is_zero())
+def rank(triples) -> int:
+    """The number of nonzero singular values: |mu| and each 3^(l-1)|v +- y|sqrt(3)."""
+    triples = normalize_triples(triples)
+    return (magic_index(triples) != 0) + sum(w != 0 for w in _phi_psi_coeffs(triples))
 
 
 # ---------------------------------------------------------------------------
-# Decomposition factors, as tuples of rows: RadicalSum entries in S, Radical in U, V
+# Decomposition factors: RadicalSum entries in S, Radical in U, V
 # ---------------------------------------------------------------------------
 
 Rows = tuple[tuple[Radical | RadicalSum, ...], ...]
@@ -126,18 +123,12 @@ class DecompositionMatrices:
 def jcf_matrices(triples) -> DecompositionMatrices:
     """Eigenvector matrix S and eigenvalue diagonal D with M S = S D.
 
-    Refused (ValueError) when any level has v^2 = y^2: the eigenvector
-    offset Omega is undefined there.
+    Refused (ValueError, from omega) when any level has v^2 = y^2: the
+    eigenvector offset Omega is undefined there.
     """
     triples = normalize_triples(triples)
-    for c, v, y in triples:
-        if v * v == y * y:
-            raise ValueError(
-                f"degenerate level (v, y) = ({v}, {y}): eigenvector matrix undefined"
-            )
-    factors = [s3(v, y) for _, v, y in triples]
     return DecompositionMatrices(
-        s=_block_product(factors, _block_columns(len(triples))),
+        s=_rows(*_block_product([s3(v, y) for _, v, y in triples])),
         d=tuple(eigenvalues(triples)),
     )
 
@@ -149,28 +140,31 @@ def svd_matrices(triples) -> DecompositionMatrices:
     3^(l-1) psi_i) is negated, so sigma holds their absolute values.
     """
     triples = normalize_triples(triples)
-    level = len(triples)
-    signed = [magic_index(triples), *_phi_psi_coeffs(triples)]
-    negated = {p for p, w in enumerate(signed) if w < 0}
-    order = _block_columns(level)
     return DecompositionMatrices(
-        u=_block_product([U3] * level, order, negated),
-        v=_block_product([V3] * level, order),
+        u=_rows(*_u_factor(triples)),
+        v=_rows(*_block_product([V3] * len(triples))),
         sigma=tuple(singular_values(triples)),
     )
 
 
-def _block_product(blocks, columns, negated=frozenset()) -> Rows:
-    """The rows of the matrix whose entry (i, p) is the product over k of
-    blocks[k][d_k(i)][d_k(columns[p])], negated when p is in negated, with
-    d_k the k-th base-3 digit (blocks[0] the least significant).
+def _u_factor(triples):
+    signed = [magic_index(triples), *_phi_psi_coeffs(triples)]
+    return _block_product([U3] * len(triples), [p for p, w in enumerate(signed) if w < 0])
+
+
+def _block_product(blocks, negated=()) -> tuple[list, list[list[int]]]:
+    """A value table and the rows of table indices of the matrix whose entry
+    (i, p) is the product over k of blocks[k][d_k(i)][d_k(j)], j the Kronecker
+    column of block-order slot p, negated when p is in negated, with d_k the
+    k-th base-3 digit (blocks[0] the least significant).
 
     This is the Kronecker product of the blocks, outermost on the left, with
-    its columns taken in the given order and the flagged ones negated.  Level
-    k extends a value table by its block's distinct values, so construct._block_sum
-    writes each entry's table index: sum over k of value index * prior table size.
-    The table starts from the integer 1, so its entries have the blocks' own
-    scalar type: Radical products cost one gcd and are never boxed as sums.
+    its columns in block order.  Level k extends the table by its block's
+    distinct values, so construct._block_sum writes each entry's index: sum
+    over k of value index * prior table size.  The table starts from the
+    integer 1, so its entries have the blocks' own scalar type: Radical
+    products cost one gcd and are never boxed as sums.  Flagged columns
+    index a second half of the table, which holds the negatives.
     """
     table = [1]
     index_blocks = []
@@ -180,13 +174,20 @@ def _block_product(blocks, columns, negated=frozenset()) -> Rows:
             [[index.setdefault(x, len(index)) * len(table) for x in r] for r in block]
         )
         table = [t * x for x in index for t in table]
-    return tuple(
-        tuple(
-            -table[r[j]] if p in negated else table[r[j]]
-            for p, j in enumerate(columns)
-        )
-        for r in _block_sum(index_blocks).rows
-    )
+    size = len(table)
+    if negated:
+        table += [-t for t in table]
+    head = [0] + [j * 3 ** k for k in range(len(blocks)) for j in (1, 2)]
+    pick = itemgetter(*head, *(j for j in range(3 ** len(blocks)) if j not in head))
+    rows = [list(pick(r)) for r in _block_sum(index_blocks).rows]
+    for row in rows:
+        for p in negated:
+            row[p] += size
+    return table, rows
+
+
+def _rows(table, index) -> Rows:
+    return tuple(tuple(table[k] for k in row) for row in index)
 
 
 # ---------------------------------------------------------------------------
@@ -195,38 +196,37 @@ def _block_product(blocks, columns, negated=frozenset()) -> Rows:
 # ---------------------------------------------------------------------------
 
 
-def _complex_array(rows) -> np.ndarray:
-    """complex() once per distinct entry object: factor rows share their
-    value table's objects, and the rows keep every id alive and unique."""
+def _complex_factor(table, index) -> np.ndarray:
+    """complex() once per table entry, then one gather by the index."""
     import numpy as np
 
-    distinct = {id(x): x for row in rows for x in row}
-    approx = {k: complex(x) for k, x in distinct.items()}
-    return np.array([[approx[id(x)] for x in row] for row in rows], dtype=complex)
+    return np.array([complex(t) for t in table])[np.array(index)]
 
 
-def jcf_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
-    """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0).
-
-    S D scales S's columns; as each D entry is purely real or purely imaginary,
-    every entry rounds as in the dense S @ diag(D)."""
+def jcf_residual(triples) -> float:
+    """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0), for
+    M = lucas(triples); ValueError where jcf_matrices refuses.  S D scales S's
+    columns; as each D entry is purely real or purely imaginary, every entry
+    rounds as in the dense S @ diag(D)."""
     import numpy as np
 
-    a = np.array(m.rows, dtype=float)
-    s = _complex_array(dec.s)
-    d = np.array([complex(r) for r in dec.d])
+    triples = normalize_triples(triples)
+    a = np.array(lucas(triples).rows, dtype=float)
+    s = _complex_factor(*_block_product([s3(v, y) for _, v, y in triples]))
+    d = np.array([complex(r) for r in eigenvalues(triples)])
     return float(np.linalg.norm(a @ s - s * d) / (np.linalg.norm(a) or 1.0))
 
 
-def svd_residual(m: SquareMatrix, dec: DecompositionMatrices) -> float:
-    """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0);
-    U Sigma scales U's columns, as S D does in jcf_residual."""
+def svd_residual(triples) -> float:
+    """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0),
+    for M = lucas(triples); U Sigma scales U's columns, as S D does in jcf_residual."""
     import numpy as np
 
-    a = np.array(m.rows, dtype=float)
-    u = _complex_array(dec.u).real
-    v = _complex_array(dec.v).real
-    sig = np.array([float(r) for r in dec.sigma])
+    triples = normalize_triples(triples)
+    a = np.array(lucas(triples).rows, dtype=float)
+    u = _complex_factor(*_u_factor(triples)).real
+    v = _complex_factor(*_block_product([V3] * len(triples))).real
+    sig = np.array([float(r) for r in singular_values(triples)])
     return float(np.linalg.norm((u * sig) @ v.T - a) / (np.linalg.norm(a) or 1.0))
 
 
@@ -234,7 +234,7 @@ def orthonormality_residual(rows: Rows) -> float:
     """|| Q^T Q - I ||_F for a real radical matrix Q, given by its rows."""
     import numpy as np
 
-    q = _complex_array(rows).real
+    q = np.array([[float(x) for x in row] for row in rows])
     return float(np.linalg.norm(q.T @ q - np.eye(len(rows))))
 
 
@@ -272,20 +272,18 @@ def _radical_json(r: Radical) -> dict:
 
 def spectrum_report(triples) -> SpectrumReport:
     triples = normalize_triples(triples)
-    m = lucas(triples)
-    svd = svd_matrices(triples)
     try:
-        jr = jcf_residual(m, jcf_matrices(triples))
+        jr = jcf_residual(triples)
     except ValueError:
         jr = None
     return SpectrumReport(
-        order=m.n,
+        order=3 ** len(triples),
         mu=magic_index(triples),
         eigenvalues=tuple(eigenvalues(triples)),
-        singular_values=svd.sigma,
-        rank=nonzero_count(svd.sigma),
+        singular_values=tuple(singular_values(triples)),
+        rank=rank(triples),
         jcf_residual=jr,
-        svd_residual=svd_residual(m, svd),
+        svd_residual=svd_residual(triples),
     )
 
 

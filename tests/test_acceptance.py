@@ -36,12 +36,11 @@ from lucasmagic.enumeration import (
 )
 from lucasmagic.exactmat import SquareMatrix, commutator
 from lucasmagic.spectra import (
-    jcf_matrices,
     jcf_residual,
     lucas3_inverse,
     matrix_power,
-    nonzero_count,
     orthonormality_residual,
+    rank,
     singular_values,
     svd_matrices,
     svd_residual,
@@ -174,19 +173,16 @@ def test_criterion_05_norm_condition_solutions():
 def test_criterion_06_decomposition_residuals():
     worst_jcf = worst_svd = worst_orth = 0.0
     for rep in enumerate_fundamental(2).representatives:
-        m = lucas(rep)
-        jd = jcf_matrices(rep)
         sd = svd_matrices(rep)
-        worst_jcf = max(worst_jcf, jcf_residual(m, jd))
-        worst_svd = max(worst_svd, svd_residual(m, sd))
+        worst_jcf = max(worst_jcf, jcf_residual(rep))
+        worst_svd = max(worst_svd, svd_residual(rep))
         worst_orth = max(
             worst_orth, orthonormality_residual(sd.u), orthonormality_residual(sd.v)
         )
     spot = ((4, 3, 1), (36, 27, 9), (324, 243, 81))
-    m = lucas(spot)
-    worst_jcf = max(worst_jcf, jcf_residual(m, jcf_matrices(spot)))
+    worst_jcf = max(worst_jcf, jcf_residual(spot))
     sd = svd_matrices(spot)
-    worst_svd = max(worst_svd, svd_residual(m, sd))
+    worst_svd = max(worst_svd, svd_residual(spot))
     worst_orth = max(
         worst_orth, orthonormality_residual(sd.u), orthonormality_residual(sd.v)
     )
@@ -199,21 +195,24 @@ def test_criterion_06_decomposition_residuals():
     )
 
 
+def _nonzero_count(values):
+    return sum(1 for r in values if not r.is_zero())
+
+
 def test_criterion_07_rank():
     for triples in natural_parameter_assignments(1):
         assert lucas(triples).exact_rank() == 3
-        assert nonzero_count(singular_values(triples)) == 3
+        assert rank(triples) == _nonzero_count(singular_values(triples)) == 3
     for rep in enumerate_fundamental(2).representatives:
         assert lucas(rep).exact_rank() == 5
-        assert nonzero_count(singular_values(rep)) == 5
-    # level 3: the closed-form count over every assignment, elimination on a sample
-    assert all(
-        nonzero_count(singular_values(t)) == 7
-        for t in natural_parameter_assignments(3)
-    )
+        assert rank(rep) == _nonzero_count(singular_values(rep)) == 5
+    # level 3: the closed-form rank over every assignment; the singular-value
+    # count and elimination on a sample
+    assert all(rank(t) == 7 for t in natural_parameter_assignments(3))
     rng = random.Random(7)
     sample = rng.sample(sorted(natural_parameter_assignments(3)), 12)
     for triples in sample:
+        assert _nonzero_count(singular_values(triples)) == 7
         assert lucas(triples).exact_rank() == 7
     _passed("criterion 7: rank 3/5/7 = nonzero singular values at levels 1/2/3")
 

@@ -329,11 +329,16 @@ def test_enumerate_emit(tmp_path, capsys):
         ("enumerate", "--level", "2", "--emit", "{out}"),
         ("enumerate", "--level", "2", "--fundamental", "--count-only", "--emit", "{out}"),
         ("enumerate", "--level", "4", "--fundamental", "--emit", "{out}"),
+        ("spectra", "{a}", "--family", "frierson"),
+        ("enumerate", "--level", "2", "--count-only"),
+        # the census does not depend on the family
+        ("enumerate", "--level", "2", "--family", "frierson"),
     ],
     ids=[
         "spectra-file-and-params", "spectra-file-and-level", "commute-suite-and-files",
         "commute-suite-and-missing-file", "emit-without-fundamental", "emit-count-only",
-        "emit-past-ceiling",
+        "emit-past-ceiling", "spectra-file-and-family", "count-only-without-fundamental",
+        "family-without-fundamental",
     ],
 )
 def test_contradictory_arguments_exit_2(tmp_path, capsys, argv):
@@ -450,7 +455,8 @@ def test_spectra_prime_pair_radicand():
 
 
 def test_spectra_overflowing_residual_exits_2():
-    # the exact values are fine; the float residual cannot hold 2**1100
+    # the exact values are fine, but no float holds 2**1100: neither the
+    # residuals nor the approx fields, whose complex() fails in _radical_json
     proc = _run_module("spectra", f"--params=0,{2 ** 1100},0")
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -473,6 +479,11 @@ def test_params_value_may_start_with_a_minus(capsys, argv):
     assert (rc, out, err) == run(capsys, cmd, f"--params={value}", *rest)
 
 
+ENUMERATION_LAYERS = (
+    "cli", "construct", "enumeration", "exactmat", "radical", "spectra", "verify",
+)
+
+
 @pytest.mark.parametrize(
     "argv,layers",
     [
@@ -480,8 +491,17 @@ def test_params_value_may_start_with_a_minus(capsys, argv):
         (["generate", "--params=4,3,1"], ("cli", "construct", "exactmat")),
         (["verify", "{a}"], ("cli", "construct", "exactmat", "verify")),
         (["commute", "{a}", "{b}"], ("algebra", "cli", "construct", "exactmat", "verify")),
+        (["spectra", "--params=4,3,1"],
+         ("cli", "construct", "exactmat", "radical", "spectra", "verify", "numpy")),
+        (["enumerate", "--level", "2"], ENUMERATION_LAYERS),
+        (["power", "--params=4,3,1", "-k", "3"],
+         ("cli", "construct", "exactmat", "radical", "spectra")),
+        (["inverse", "--params=4,3,1"], ("cli", "construct", "exactmat", "radical", "spectra")),
+        (["tables", "--which", "1"], ENUMERATION_LAYERS),
+        (["tables", "--which", "2"], ENUMERATION_LAYERS),
     ],
-    ids=["import", "generate", "verify", "commute"],
+    ids=["import", "generate", "verify", "commute", "spectra", "enumerate", "power",
+         "inverse", "tables-1", "tables-2"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # `import lucasmagic` loads no submodule, and each command only the
@@ -505,7 +525,7 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == [f"lucasmagic.{name}" for name in layers]
+    assert loaded == [name if name == "numpy" else f"lucasmagic.{name}" for name in layers]
 
 
 def test_inverse(capsys):

@@ -18,8 +18,8 @@ from lucasmagic.spectra import (
     lucas3_inverse,
     matrix_power,
     matrix_power_digits,
-    nonzero_count,
     orthonormality_residual,
+    rank,
     s3,
     singular_values,
     spectrum_report,
@@ -94,7 +94,7 @@ def test_order9_eigenvalues_inner_first():
 def test_order3_singular_values():
     svs = singular_values([(4, 3, 1)])
     assert [str(s) for s in svs] == ["12", "4*sqrt(3)", "2*sqrt(3)"]
-    assert nonzero_count(svs) == 3
+    assert rank([(4, 3, 1)]) == 3
     # sign flips of (v, y) permute the sqrt(3)|v +- y| pair but keep the multiset
     assert sorted(singular_values([(4, -3, 1)])) == sorted(svs)
     assert sorted(singular_values([(4, 3, -1)])) == sorted(svs)
@@ -111,7 +111,7 @@ def test_order9_singular_values():
         "54*sqrt(3)",
     ]
     assert all(s.is_zero() for s in svs[5:])
-    assert nonzero_count(svs) == 5
+    assert rank(A_SET) == 5
 
 
 def test_spectral_frobenius_identity():
@@ -131,7 +131,7 @@ def test_jcf_exact():
 
 
 def test_jcf_refuses_degenerate_levels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degenerate level \(v, y\) = \(3, 3\)"):
         jcf_matrices([(4, 3, 3)])
     with pytest.raises(ValueError):
         jcf_matrices([(4, 3, -3), (36, 27, 9)])
@@ -141,15 +141,13 @@ def test_jcf_refuses_degenerate_levels():
 
 def test_jcf_residuals():
     for triples in [((4, 3, 1),), ((4, 1, 3),), A_SET, ((4, 1, 3), (36, 9, 27))]:
-        m = lucas(triples)
-        assert jcf_residual(m, jcf_matrices(triples)) < 1e-12
+        assert jcf_residual(triples) < 1e-12
 
 
 def test_svd_residuals_and_orthonormality():
     for triples in [((4, 3, 1),), A_SET, ((4, 3, 1), (36, 27, 9), (324, 243, 81))]:
-        m = lucas(triples)
         dec = svd_matrices(triples)
-        assert svd_residual(m, dec) < 1e-12
+        assert svd_residual(triples) < 1e-12
         assert orthonormality_residual(dec.u) < 1e-12
         assert orthonormality_residual(dec.v) < 1e-12
         assert all(s.is_zero() or s.coeff > 0 for s in dec.sigma)
@@ -163,7 +161,22 @@ def test_svd_diagonal_matches_closed_form():
 def test_rank_counts():
     assert lucas(((4, 3, 1),)).exact_rank() == 3
     assert lucas(A_SET).exact_rank() == 5
-    assert nonzero_count(singular_values(A_SET)) == 5
+    assert rank(A_SET) == 5
+
+
+tiny = st.integers(min_value=-3, max_value=3)
+
+
+@given(st.lists(st.tuples(tiny, tiny, tiny), min_size=1, max_size=3))
+@example([(0, 0, 0)])  # the zero square
+@example([(0, 0, 0), (0, 0, 0), (0, 0, 0)])
+@example([(1, 2, -2), (-1, 3, 3)])  # mu = 0 and v = +-y at every level
+@example([(2, 1, 1), (-2, 0, 0), (0, 3, -1)])  # mu = 0
+@settings(max_examples=60, deadline=None)
+def test_rank_is_the_closed_form_count(triples):
+    # small values make zero mu, v = +-y and zero levels common
+    count = sum(1 for r in singular_values(triples) if not r.is_zero())
+    assert rank(triples) == count == lucas(triples).exact_rank()
 
 
 def test_spectrum_report():
@@ -417,8 +430,9 @@ def test_spectrum_report_forms_each_factor_product_once(monkeypatch):
     assert 0 < calls["complex"] <= 256
 
 
-# The residuals with each diagonal as a dense matrix, multiplied in O(n^3):
-# the oracle for the column scaling in jcf_residual and svd_residual.
+# The residuals with each diagonal as a dense matrix, multiplied in O(n^3),
+# over the exact factor rows: the oracle for jcf_residual and svd_residual,
+# which gather their floats from the factors' value tables and scale columns.
 
 
 def _dense_array(rows):
@@ -451,6 +465,8 @@ level_triple = st.one_of(
 
 @given(st.lists(level_triple, min_size=1, max_size=3))
 @example([(4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729)])  # natural, level 4
+@example([(4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729),
+          (26244, 19683, 6561)])  # natural, level 5
 @example([(0, 0, 0)])  # zero squares
 @example([(1, 0, 0), (-1, 0, 0)])
 @settings(max_examples=100, deadline=None)
@@ -459,7 +475,10 @@ def test_residuals_match_the_dense_diagonals(triples):
     # columns are negated, all come up among these; the floats agree bit for bit
     m = lucas(triples)
     svd = svd_matrices(triples)
-    assert svd_residual(m, svd).hex() == dense_svd_residual(m, svd).hex()
+    assert svd_residual(triples).hex() == dense_svd_residual(m, svd).hex()
     if all(v * v != y * y for _, v, y in triples):
         jcf = jcf_matrices(triples)
-        assert jcf_residual(m, jcf).hex() == dense_jcf_residual(m, jcf).hex()
+        assert jcf_residual(triples).hex() == dense_jcf_residual(m, jcf).hex()
+    else:
+        with pytest.raises(ValueError, match="degenerate level"):
+            jcf_residual(triples)
