@@ -161,6 +161,7 @@ PHASE_ACTIONS = {
 }
 
 PHASE_NAMES = tuple(PHASE_ACTIONS)
+_PHASE_MAPS = tuple(act for act, _ in PHASE_ACTIONS.values())
 
 
 def apply_phase(m: SquareMatrix, phase: str) -> SquareMatrix:
@@ -205,11 +206,20 @@ def canonical_phase(m: SquareMatrix) -> SquareMatrix:
 
 
 def canonical_parameters(triples) -> tuple[Triple, ...]:
-    """The lexicographically smallest of the 8 phase images of the params."""
+    """The lexicographically smallest of the 8 phase images of the params.
+
+    Tuples compare level 1 first and no phase changes c_1, so the least image
+    comes from a phase whose image of level 1's (v, y) is least; only those
+    phases' full images are built (one phase unless |v_1| = |y_1|).
+    """
     triples = normalize_triples(triples)
+    _, v1, y1 = triples[0]
+    firsts = [act(v1, y1) for act in _PHASE_MAPS]
+    least = min(firsts)
     return min(
         tuple((c,) + act(v, y) for c, v, y in triples)
-        for act, _ in PHASE_ACTIONS.values()
+        for act, first in zip(_PHASE_MAPS, firsts)
+        if first == least
     )
 
 

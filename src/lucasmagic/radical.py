@@ -13,8 +13,10 @@ The canonical form needs the squarefree part of each new radicand, which
 to 1000, then Brent's variant of Pollard rho on what is left, with every piece
 proven prime by deterministic Miller-Rabin (bases 2..41 decide every number
 below 3,317,044,064,679,887,385,961,981).  A piece at or above that bound
-which the test cannot decide is split by trial division, as slow as that is,
-so no radicand is ever reduced on a probable prime.
+which the test cannot decide is split by trial division, so no radicand is
+ever reduced on a probable prime.  Rho and that trial division each stop
+after _FACTOR_BUDGET steps and raise :class:`FactoringBudgetExceeded`, so no
+radicand can hang the process: it is refused instead.
 
 Only new radicands are factored.  Products and sums never are: negation,
 absolute value, inverse and sums keep a squarefree radicand, and the product
@@ -34,6 +36,21 @@ _TRIAL_LIMIT = 1000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Sorenson & Webster (2017): no composite below this passes all of _MR_BASES.
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+# Rho iterations per _brent_divisor call and divisions per _least_divisor
+# call.  Rho finds a prime factor p in about sqrt(p) iterations, so this
+# reaches factors up to about 10**11; parameters up to 10**6 give radicands
+# below 3 * 10**12, whose pieces need a few thousand at most.
+_FACTOR_BUDGET = 1 << 20
+
+
+class FactoringBudgetExceeded(ValueError):
+    """A radicand whose squarefree part is out of the factoring budget's reach."""
+
+    def __init__(self, n: int):
+        super().__init__(
+            f"radicand not factored: a {len(str(n))}-digit part of it needs more "
+            f"than {_FACTOR_BUDGET} steps"
+        )
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -76,7 +93,8 @@ def _prime_factors(n: int) -> list[int]:
     Squares are split by isqrt (rho would cycle on p**2), composites by
     Brent's rho, and a piece is kept as prime only when Miller-Rabin proves
     it; otherwise (at or above the proven bound, or when rho gives up) the
-    piece's least divisor is found by trial division.
+    piece's least divisor is found by trial division.  FactoringBudgetExceeded
+    when rho or the trial division runs out of budget.
     """
     primes, todo = [], [n]
     while todo:
@@ -118,15 +136,20 @@ def _is_strong_probable_prime(m: int) -> bool:
 
 def _brent_divisor(n: int) -> int:
     """A proper divisor of the odd composite non-square n, by Brent's cycle
-    finding on x -> x*x + c (Brent, BIT 20, 1980); 0 if every c tried fails.
+    finding on x -> x*x + c (Brent, BIT 20, 1980); 0 if every c tried fails,
+    FactoringBudgetExceeded after _FACTOR_BUDGET iterations over all c.
 
     The differences are multiplied together 128 at a time and one gcd taken
     per batch; a batch whose gcd is n is replayed step by step.
     """
     batch = 128
+    steps = 0
     for c in range(1, 16):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r  # at most r steps to skip, then r in batches
+            if steps > _FACTOR_BUDGET:
+                raise FactoringBudgetExceeded(n)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -150,12 +173,15 @@ def _brent_divisor(n: int) -> int:
 
 
 def _least_divisor(m: int) -> int:
-    """The least prime factor of an odd m > 1, by trial division."""
-    p = 3
-    while p * p <= m:
+    """The least prime factor of an odd m > 1, by trial division;
+    FactoringBudgetExceeded when that needs more than _FACTOR_BUDGET divisions."""
+    root = math.isqrt(m)
+    last = 2 * _FACTOR_BUDGET + 1
+    for p in range(3, min(root, last) + 1, 2):
         if m % p == 0:
             return p
-        p += 2
+    if root > last:
+        raise FactoringBudgetExceeded(m)
     return m
 
 
@@ -285,7 +311,10 @@ class Radical:
         return self.coeff == other.coeff and self.radicand == other.radicand
 
     def __hash__(self):
-        return hash((self.coeff, self.radicand))
+        # the integer parts of the coefficient: hashing the Fraction itself
+        # takes a modular inverse of the denominator on every call
+        c = self.coeff
+        return hash((c.numerator, c.denominator, self.radicand))
 
     def _require_real(self):
         if not self.is_real():

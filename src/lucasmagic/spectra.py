@@ -49,9 +49,12 @@ def omega(v: int, y: int) -> Radical:
 # ---------------------------------------------------------------------------
 
 
+_ZERO = Radical(0)
+
+
 def _block_diagonal(mu: Radical, pairs, level: int) -> list[Radical]:
     """mu, the scaled level pairs, then zeros up to 3**level entries."""
-    return [mu, *pairs] + [Radical(0)] * (3 ** level - 1 - len(pairs))
+    return [mu, *pairs] + [_ZERO] * (3 ** level - 1 - len(pairs))
 
 
 def _phi_psi_coeffs(triples) -> list[int]:
@@ -74,8 +77,14 @@ def singular_values(triples) -> list[Radical]:
     """All 3**level singular values in the same block order, nonnegative."""
     triples = normalize_triples(triples)
     scale = 3 ** (len(triples) - 1)
-    pairs = [Radical(scale * abs(w), 3) for w in _phi_psi_coeffs(triples)]
-    return _block_diagonal(Radical(abs(magic_index(triples))), pairs, len(triples))
+    mu = abs(magic_index(triples))
+    # 1 and 3 are squarefree, so each nonzero value is canonical as built: no split
+    pairs = [
+        Radical._canonical(Fraction(scale * abs(w)), 3) if w else _ZERO
+        for w in _phi_psi_coeffs(triples)
+    ]
+    top = Radical._canonical(Fraction(mu), 1) if mu else _ZERO
+    return _block_diagonal(top, pairs, len(triples))
 
 
 def rank(triples) -> int:
@@ -141,30 +150,31 @@ def svd_matrices(triples) -> DecompositionMatrices:
     """
     triples = normalize_triples(triples)
     return DecompositionMatrices(
-        u=_rows(*_u_factor(triples)),
+        u=_rows(*_block_product([U3] * len(triples)), _negated_columns(triples)),
         v=_rows(*_block_product([V3] * len(triples))),
         sigma=tuple(singular_values(triples)),
     )
 
 
-def _u_factor(triples):
+def _negated_columns(triples) -> list[int]:
+    """The block-order slots of the negative closed-form values: mu, then
+    3^(l-1) phi_i and 3^(l-1) psi_i per level."""
     signed = [magic_index(triples), *_phi_psi_coeffs(triples)]
-    return _block_product([U3] * len(triples), [p for p, w in enumerate(signed) if w < 0])
+    return [p for p, w in enumerate(signed) if w < 0]
 
 
-def _block_product(blocks, negated=()) -> tuple[list, list[list[int]]]:
+def _block_product(blocks) -> tuple[list, list[list[int]]]:
     """A value table and the rows of table indices of the matrix whose entry
     (i, p) is the product over k of blocks[k][d_k(i)][d_k(j)], j the Kronecker
-    column of block-order slot p, negated when p is in negated, with d_k the
-    k-th base-3 digit (blocks[0] the least significant).
+    column of block-order slot p, with d_k the k-th base-3 digit (blocks[0]
+    the least significant).
 
     This is the Kronecker product of the blocks, outermost on the left, with
     its columns in block order.  Level k extends the table by its block's
     distinct values, so construct._block_sum writes each entry's index: sum
     over k of value index * prior table size.  The table starts from the
     integer 1, so its entries have the blocks' own scalar type: Radical
-    products cost one gcd and are never boxed as sums.  Flagged columns
-    index a second half of the table, which holds the negatives.
+    products cost one gcd and are never boxed as sums.
     """
     table = [1]
     index_blocks = []
@@ -174,20 +184,20 @@ def _block_product(blocks, negated=()) -> tuple[list, list[list[int]]]:
             [[index.setdefault(x, len(index)) * len(table) for x in r] for r in block]
         )
         table = [t * x for x in index for t in table]
-    size = len(table)
-    if negated:
-        table += [-t for t in table]
     head = [0] + [j * 3 ** k for k in range(len(blocks)) for j in (1, 2)]
     pick = itemgetter(*head, *(j for j in range(3 ** len(blocks)) if j not in head))
-    rows = [list(pick(r)) for r in _block_sum(index_blocks).rows]
-    for row in rows:
+    return table, [list(pick(r)) for r in _block_sum(index_blocks).rows]
+
+
+def _rows(table, index, negated=()) -> Rows:
+    """The exact rows: table[k] per entry, negated in the columns in negated."""
+    rows = []
+    for row in index:
+        r = [table[k] for k in row]
         for p in negated:
-            row[p] += size
-    return table, rows
-
-
-def _rows(table, index) -> Rows:
-    return tuple(tuple(table[k] for k in row) for row in index)
+            r[p] = -r[p]
+        rows.append(tuple(r))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +213,43 @@ def _complex_factor(table, index) -> np.ndarray:
     return np.array([complex(t) for t in table])[np.array(index)]
 
 
+def _float_square(triples) -> np.ndarray:
+    import numpy as np
+
+    return np.array(lucas(triples).rows, dtype=float)
+
+
 def jcf_residual(triples) -> float:
     """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0), for
     M = lucas(triples); ValueError where jcf_matrices refuses.  S D scales S's
     columns; as each D entry is purely real or purely imaginary, every entry
     rounds as in the dense S @ diag(D)."""
+    triples = normalize_triples(triples)
+    return _jcf_residual(triples, _float_square(triples), eigenvalues(triples))
+
+
+def _jcf_residual(triples, a, eigs) -> float:
     import numpy as np
 
-    triples = normalize_triples(triples)
-    a = np.array(lucas(triples).rows, dtype=float)
     s = _complex_factor(*_block_product([s3(v, y) for _, v, y in triples]))
-    d = np.array([complex(r) for r in eigenvalues(triples)])
+    d = np.array([complex(r) for r in eigs])
     return float(np.linalg.norm(a @ s - s * d) / (np.linalg.norm(a) or 1.0))
 
 
 def svd_residual(triples) -> float:
     """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0),
     for M = lucas(triples); U Sigma scales U's columns, as S D does in jcf_residual."""
+    triples = normalize_triples(triples)
+    return _svd_residual(triples, _float_square(triples), singular_values(triples))
+
+
+def _svd_residual(triples, a, sigma) -> float:
     import numpy as np
 
-    triples = normalize_triples(triples)
-    a = np.array(lucas(triples).rows, dtype=float)
-    u = _complex_factor(*_u_factor(triples)).real
+    u = _complex_factor(*_block_product([U3] * len(triples))).real
+    u[:, _negated_columns(triples)] *= -1.0  # float negation is exact
     v = _complex_factor(*_block_product([V3] * len(triples))).real
-    sig = np.array([float(r) for r in singular_values(triples)])
+    sig = np.array([float(r) for r in sigma])
     return float(np.linalg.norm((u * sig) @ v.T - a) / (np.linalg.norm(a) or 1.0))
 
 
@@ -271,19 +294,24 @@ def _radical_json(r: Radical) -> dict:
 
 
 def spectrum_report(triples) -> SpectrumReport:
+    """The closed-form spectrum and both residuals; M, the eigenvalues and the
+    singular values are each built once and shared by the residuals."""
     triples = normalize_triples(triples)
+    a = _float_square(triples)
+    eigs = eigenvalues(triples)
+    sigma = singular_values(triples)
     try:
-        jr = jcf_residual(triples)
+        jr = _jcf_residual(triples, a, eigs)
     except ValueError:
         jr = None
     return SpectrumReport(
         order=3 ** len(triples),
         mu=magic_index(triples),
-        eigenvalues=tuple(eigenvalues(triples)),
-        singular_values=tuple(singular_values(triples)),
+        eigenvalues=tuple(eigs),
+        singular_values=tuple(sigma),
         rank=rank(triples),
         jcf_residual=jr,
-        svd_residual=svd_residual(triples),
+        svd_residual=_svd_residual(triples, a, sigma),
     )
 
 

@@ -465,6 +465,23 @@ def test_spectra_overflowing_residual_exits_2():
 
 
 @pytest.mark.parametrize(
+    "params",
+    [
+        f"1,{10 ** 41 + 1},1",  # 3 (v^2 - y^2) has a 39-digit part out of rho's reach
+        # v^2 - y^2 is the least prime above the Miller-Rabin proven bound
+        f"1,{3317044064679887385962124 // 2},{3317044064679887385962122 // 2}",
+    ],
+)
+def test_spectra_out_of_the_factoring_budget_exits_2(params):
+    # refused after the budget's million-odd steps, in seconds, not a hang
+    proc = _run_module("spectra", "--params", params, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: radicand not factored")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("generate", "--params", "-16,-28,5"),

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lucasmagic.construct import (
     FRIERSON9_SETS,
+    PHASE_ACTIONS,
     PHASE_NAMES,
     apply_phase,
     canonical_parameters,
@@ -22,6 +23,7 @@ from lucasmagic.construct import (
     lucas,
     lucas3,
     magic_index,
+    normalize_triples,
     parse_frierson_params,
     parse_lucas_params,
     phase_parameters,
@@ -243,3 +245,32 @@ def test_every_compound_is_magic_and_regular(triples):
 @given(st.lists(triple, min_size=1, max_size=2), st.sampled_from(PHASE_NAMES))
 def test_phase_parameters_commute_with_construction(triples, phase):
     assert lucas(phase_parameters(triples, phase)) == apply_phase(lucas(triples), phase)
+
+
+def oracle_canonical_parameters(triples):
+    """The least of all 8 full phase images, each built in full."""
+    triples = normalize_triples(triples)
+    return min(
+        tuple((c,) + act(v, y) for c, v, y in triples)
+        for act, _ in PHASE_ACTIONS.values()
+    )
+
+
+small = st.integers(min_value=-3, max_value=3)
+# level 1 with |v| = |y| (zeros included): its images tie, and later levels decide
+tied_level1 = st.builds(lambda c, v, s: (c, v, s * v), small, small, st.sampled_from((1, -1)))
+
+
+@given(
+    st.one_of(tied_level1, st.tuples(small, small, small), triple),
+    st.lists(st.one_of(st.tuples(small, small, small), triple), max_size=3),
+)
+@example((4, 0, 0), [(1, 0, 0), (2, 1, -1)])
+@example((5, 2, -2), [(0, 1, 1), (3, -1, 2)])
+@example((0, 0, 0), [(0, 0, 0)])
+def test_canonical_parameters_matches_the_eight_image_oracle(first, rest):
+    triples = [first, *rest]
+    want = oracle_canonical_parameters(triples)
+    assert canonical_parameters(triples) == want
+    for p in PHASE_NAMES:
+        assert canonical_parameters(phase_parameters(triples, p)) == want

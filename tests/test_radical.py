@@ -104,6 +104,43 @@ def test_squarefree_split_falls_back_to_trial_division(monkeypatch, patch):
         assert 1000000007 in seen
 
 
+# the least prime above the proven bound; the bound itself is the least
+# composite that passes every base (1287836182261 * 2575672364521)
+PRIME_ABOVE_BOUND = 3317044064679887385962123
+
+
+@pytest.mark.parametrize("n", [PRIME_ABOVE_BOUND, 3 * radical._MR_PROVEN_BELOW])
+def test_factoring_budget_refuses_what_it_cannot_decide(n):
+    # Miller-Rabin cannot decide these, and trial division to their least
+    # factor (above 10**12) is far past the budget
+    with pytest.raises(radical.FactoringBudgetExceeded, match="25-digit part"):
+        squarefree_split(n)
+    with pytest.raises(ValueError, match="not factored"):
+        Radical(1, -n)
+
+
+def test_factoring_budget_refuses_a_rho_out_of_reach():
+    # 5 * 10**40 + 1 = 3 * 7 * 23 * 27882377444183 * 3712727472551196566478509:
+    # rho needs about sqrt(2.8 * 10**13) iterations for the smaller large factor
+    with pytest.raises(radical.FactoringBudgetExceeded, match="39-digit part"):
+        squarefree_split(5 * 10 ** 40 + 1)
+
+
+def test_factoring_budget_edges(monkeypatch):
+    # rho on two six-digit primes needs about a thousand iterations
+    semiprime = 999983 * 1000003
+    assert squarefree_split(3 * 5 ** 2 * semiprime) == (5, 3 * semiprime)
+    assert radical._brent_divisor(semiprime) in (999983, 1000003)
+    monkeypatch.setattr(radical, "_FACTOR_BUDGET", 50)
+    with pytest.raises(radical.FactoringBudgetExceeded):
+        squarefree_split(semiprime)
+    # with 50 divisions, trial division reaches 101 and no further
+    assert radical._least_divisor(101 * 103) == 101
+    assert radical._least_divisor(10007) == 10007  # root 100: all divisions fit
+    with pytest.raises(radical.FactoringBudgetExceeded):
+        radical._least_divisor(103 * 107)
+
+
 def test_normalization():
     assert Radical(1, 24) == Radical(2, 6)
     assert Radical(1, 49) == Radical(7, 1)
@@ -311,3 +348,21 @@ def test_radical_sum_of_overlapping_terms(terms):
             totals[r.radicand] = totals.get(r.radicand, 0) + r.coeff
     want = tuple(Radical(c, d) for d, c in sorted(totals.items()) if c)
     assert repr(RadicalSum(rads).terms()) == repr(want)
+
+
+@given(coeffs, squarefree_radicands, st.integers(min_value=1, max_value=30))
+def test_equal_radicals_hash_equal_by_every_route(a, d, k):
+    # a split radicand, the canonical constructor, a product and a negation
+    want = Radical(a * k, d)
+    routes = [
+        Radical(a, d * k * k),
+        Radical._canonical(want.coeff, want.radicand),
+        Radical(a, d) * k,
+        Radical(k, 1) * Radical(a, d),
+        -Radical(-a * k, d),
+        -(-want),
+    ]
+    for r in routes:
+        assert r == want and hash(r) == hash(want)
+    # the hash reads the coefficient's integer parts
+    assert hash(want) == hash((want.coeff.numerator, want.coeff.denominator, want.radicand))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lucasmagic import radical
+from lucasmagic import radical, spectra
 from lucasmagic.construct import frierson_to_lucas, lucas, lucas3, magic_index
 from lucasmagic.exactmat import SquareMatrix, commutator
 from lucasmagic.radical import Radical, RadicalSum
@@ -482,3 +482,45 @@ def test_residuals_match_the_dense_diagonals(triples):
     else:
         with pytest.raises(ValueError, match="degenerate level"):
             jcf_residual(triples)
+
+
+@given(st.lists(level_triple, min_size=1, max_size=4))
+@example([(0, 0, 0), (1, 2, -2)])  # zero mu and zero v +- y
+def test_singular_values_match_the_splitting_constructor(triples):
+    # the values are built as canonical; the reference splits each radicand
+    scale = 3 ** (len(triples) - 1)
+    want = [Radical(abs(magic_index(triples)))]
+    want += [Radical(scale * abs(w), 3) for _, v, y in triples for w in (v + y, v - y)]
+    want += [Radical(0)] * (3 ** len(triples) - len(want))
+    got = singular_values(triples)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert got == want and [hash(r) for r in got] == [hash(r) for r in want]
+
+
+def test_spectrum_report_builds_shared_values_once(monkeypatch):
+    triples = ((-4, 3, 1), (36, -27, 9), (324, 243, -81))
+    want = spectrum_report(triples).to_json()
+    calls = {"lucas": 0, "eigenvalues": 0, "singular_values": 0}
+    for name in calls:
+        original = getattr(spectra, name)
+
+        def counted(t, name=name, original=original):
+            calls[name] += 1
+            return original(t)
+
+        monkeypatch.setattr(spectra, name, counted)
+    assert spectrum_report(triples).to_json() == want
+    assert calls == {"lucas": 1, "eigenvalues": 1, "singular_values": 1}
+
+
+def test_negated_u_columns_convert_no_extra_values(monkeypatch):
+    # mu and every v +- y negative: U negates 7 of its 27 columns, but the
+    # residual converts each U and V table value once, with no negated copies
+    triples = ((-4, -3, -1), (-36, -27, -9), (-324, -243, -81))
+    calls = []
+    to_complex = Radical.__complex__
+    monkeypatch.setattr(Radical, "__complex__", lambda r: calls.append(r) or to_complex(r))
+    assert svd_residual(triples) < 1e-12
+    u_values = {x for row in U3 for x in row}
+    v_values = {x for row in V3 for x in row}
+    assert len(calls) == len(u_values) ** 3 + len(v_values) ** 3
