@@ -139,6 +139,18 @@ def magic_index(triples) -> int:
     return 3 ** len(triples) * sum(c for c, _, _ in triples)
 
 
+def rank(triples) -> int:
+    """The rank of lucas(triples): a nonzero mu plus the nonzero v +- y.
+
+    The square is U diag(sigma) V^T with orthogonal U and V that do not
+    depend on the parameters, and its nonzero singular values are |mu| and
+    3^(l-1)|v_i +- y_i|sqrt(3), so this count is exact for every parameter set.
+    """
+    triples = normalize_triples(triples)
+    pairs = sum((v + y != 0) + (v - y != 0) for _, v, y in triples)
+    return (magic_index(triples) != 0) + pairs
+
+
 # ---------------------------------------------------------------------------
 # Phases: the dihedral group of order 8, realized three ways — on matrices
 # (transpose and reversals), on (v, y) pairs, and as name composition.

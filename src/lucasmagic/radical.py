@@ -16,7 +16,9 @@ below 3,317,044,064,679,887,385,961,981).  A piece at or above that bound
 which the test cannot decide is split by trial division, so no radicand is
 ever reduced on a probable prime.  Rho and that trial division each stop
 after _FACTOR_BUDGET steps and raise :class:`FactoringBudgetExceeded`, so no
-radicand can hang the process: it is refused instead.
+radicand can hang the process: it is refused instead.  A step on a number
+above 128 bits is charged by its cost: a rho step (a product mod n) by the
+square of the number's size in 128-bit words, a division by that size.
 
 Only new radicands are factored.  Products and sums never are: negation,
 absolute value, inverse and sums keep a squarefree radicand, and the product
@@ -37,9 +39,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Sorenson & Webster (2017): no composite below this passes all of _MR_BASES.
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 # Rho iterations per _brent_divisor call and divisions per _least_divisor
-# call.  Rho finds a prime factor p in about sqrt(p) iterations, so this
-# reaches factors up to about 10**11; parameters up to 10**6 give radicands
-# below 3 * 10**12, whose pieces need a few thousand at most.
+# call, on numbers below 2**128 (_words scales the charge above).  Rho finds a
+# prime factor p in about sqrt(p) iterations, so this reaches factors up to
+# about 10**11; parameters up to 10**6 give radicands below 3 * 10**12, whose
+# pieces need a few thousand at most.
 _FACTOR_BUDGET = 1 << 20
 
 
@@ -134,20 +137,27 @@ def _is_strong_probable_prime(m: int) -> bool:
     return True
 
 
+def _words(n: int) -> float:
+    """The size of n in 128-bit words, at least 1: the budget's unit of cost."""
+    return max(1, n.bit_length() / 128)
+
+
 def _brent_divisor(n: int) -> int:
     """A proper divisor of the odd composite non-square n, by Brent's cycle
     finding on x -> x*x + c (Brent, BIT 20, 1980); 0 if every c tried fails,
-    FactoringBudgetExceeded after _FACTOR_BUDGET iterations over all c.
+    FactoringBudgetExceeded after _FACTOR_BUDGET iterations over all c, each
+    charged _words(n)**2.
 
     The differences are multiplied together 128 at a time and one gcd taken
     per batch; a batch whose gcd is n is replayed step by step.
     """
     batch = 128
+    cost = _words(n) ** 2
     steps = 0
     for c in range(1, 16):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            steps += 2 * r  # at most r steps to skip, then r in batches
+            steps += 2 * r * cost  # at most r steps to skip, then r in batches
             if steps > _FACTOR_BUDGET:
                 raise FactoringBudgetExceeded(n)
             x = y
@@ -174,9 +184,10 @@ def _brent_divisor(n: int) -> int:
 
 def _least_divisor(m: int) -> int:
     """The least prime factor of an odd m > 1, by trial division;
-    FactoringBudgetExceeded when that needs more than _FACTOR_BUDGET divisions."""
+    FactoringBudgetExceeded when that needs more than _FACTOR_BUDGET
+    divisions, each charged _words(m)."""
     root = math.isqrt(m)
-    last = 2 * _FACTOR_BUDGET + 1
+    last = 2 * int(_FACTOR_BUDGET / _words(m)) + 1
     for p in range(3, min(root, last) + 1, 2):
         if m % p == 0:
             return p

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .construct import _block_sum, normalize_triples, lucas, lucas3, magic_index
+from .construct import _block_sum, normalize_triples, lucas, lucas3, magic_index, rank
 from .exactmat import SquareMatrix
 from .radical import Radical, RadicalSum
 
@@ -85,12 +85,6 @@ def singular_values(triples) -> list[Radical]:
     ]
     top = Radical._canonical(Fraction(mu), 1) if mu else _ZERO
     return _block_diagonal(top, pairs, len(triples))
-
-
-def rank(triples) -> int:
-    """The number of nonzero singular values: |mu| and each 3^(l-1)|v +- y|sqrt(3)."""
-    triples = normalize_triples(triples)
-    return (magic_index(triples) != 0) + sum(w != 0 for w in _phi_psi_coeffs(triples))
 
 
 # ---------------------------------------------------------------------------

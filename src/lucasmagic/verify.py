@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .exactmat import SquareMatrix
-from .construct import Triple, level_of_order, lucas
+from .construct import Triple, level_of_order, lucas, rank
 
 
 def check_magic(m: SquareMatrix):
@@ -141,9 +141,15 @@ class VerificationReport:
 
 
 def verify_report(m: SquareMatrix) -> VerificationReport:
-    """Run every check on one square and bundle the results."""
+    """Run every check on one square and bundle the results.
+
+    A recovered square is lucas(params) entry for entry (recovery checks the
+    reconstruction), so its rank is the closed form rank(params); Bareiss
+    elimination ranks every other square.
+    """
     is_magic, mu = check_magic(m)
     frobenius_sq = m.frobenius_sq()
+    params = recover_lucas_params(m)
     return VerificationReport(
         order=m.n,
         is_magic=is_magic,
@@ -152,6 +158,6 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
         frobenius_sq=frobenius_sq,
         fnc_pass=frobenius_sq == frobenius_norm_target(m.n),
         is_natural=check_natural(m),
-        exact_rank=m.exact_rank(),
-        lucas_params=recover_lucas_params(m),
+        exact_rank=m.exact_rank() if params is None else rank(params),
+        lucas_params=params,
     )

@@ -481,6 +481,16 @@ def test_spectra_out_of_the_factoring_budget_exits_2(params):
     assert "Traceback" not in proc.stderr
 
 
+def test_spectra_budget_charges_rho_by_the_numbers_size():
+    # 3 (10**600 - 1) keeps a part of hundreds of digits after trial
+    # division; charged by its size, rho gives up on it within a second
+    proc = _run_module("spectra", "--params", f"1,{10 ** 300},1", timeout=2)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: radicand not factored")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

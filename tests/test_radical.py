@@ -141,6 +141,23 @@ def test_factoring_budget_edges(monkeypatch):
         radical._least_divisor(103 * 107)
 
 
+def test_factoring_budget_charges_steps_by_size(monkeypatch):
+    # below 2**128 a step costs 1; above, a rho step costs the square of the
+    # size in 128-bit words and a division the size
+    assert radical._words(2 ** 128 - 1) == 1
+    semiprime = 999983 * 1000003
+    big = semiprime * (2 ** 521 - 1)  # 561 bits: a rho step costs 19.2
+    wide = 103 * 107 ** 40  # 277 bits: a division costs 2.16
+    monkeypatch.setattr(radical, "_FACTOR_BUDGET", 4096)
+    assert radical._brent_divisor(semiprime) in (999983, 1000003)
+    with pytest.raises(radical.FactoringBudgetExceeded):
+        radical._brent_divisor(big)
+    monkeypatch.setattr(radical, "_FACTOR_BUDGET", 100)
+    assert radical._least_divisor(103 * 107) == 103
+    with pytest.raises(radical.FactoringBudgetExceeded):
+        radical._least_divisor(wide)  # 46 divisions reach 93
+
+
 def test_normalization():
     assert Radical(1, 24) == Radical(2, 6)
     assert Radical(1, 49) == Radical(7, 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lucasmagic import verify
-from lucasmagic.construct import PHASE_NAMES, apply_phase, frierson9, lucas, lucas3
+from lucasmagic.construct import PHASE_NAMES, apply_phase, frierson, frierson9, lucas, lucas3
 from lucasmagic.exactmat import SquareMatrix
 from lucasmagic.verify import (
     check_fnc,
@@ -241,6 +241,64 @@ def test_verify_report_checks_magic_once(monkeypatch):
         rep = verify_report(m)
         assert len(calls) == 1
         assert rep.is_magic and rep.is_regular is regular
+
+
+@st.composite
+def compound_squares(draw):
+    """A phased Lucas or Frierson square at levels 1-3 whose levels may be
+    degenerate (zero, v = y or v = -y) and whose line sum may be zero."""
+    part = st.integers(-9, 9)
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        v, y = draw(part), draw(part)
+        shape = draw(st.sampled_from(("free", "zero", "v=y", "v=-y")))
+        if shape == "zero":
+            v = y = 0
+        elif shape != "free":
+            y = v if shape == "v=y" else -v
+        levels.append((v, y))
+    if draw(st.booleans()):
+        m = frierson([(abs(v), abs(y)) for v, y in levels])
+    else:
+        cs = [draw(part) for _ in levels]
+        if draw(st.booleans()):
+            cs[0] -= sum(cs)  # mu = 0
+        m = lucas([(c, v, y) for c, (v, y) in zip(cs, levels)])
+    return apply_phase(m, draw(st.sampled_from(PHASE_NAMES)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(compound_squares())
+def test_report_rank_of_a_compound_square_is_bareiss(m):
+    rep = verify_report(m)
+    assert rep.lucas_params is not None
+    assert rep.exact_rank == m.exact_rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(compound_squares(), st.data())
+def test_report_rank_of_a_perturbed_square_is_bareiss(m, data):
+    rows = [list(r) for r in m.rows]
+    cell = st.integers(0, m.n - 1)
+    rows[data.draw(cell)][data.draw(cell)] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+    m = SquareMatrix(rows)
+    rep = verify_report(m)
+    assert rep.lucas_params is None  # one changed entry breaks a line sum
+    assert rep.exact_rank == m.exact_rank()
+
+
+def test_report_runs_bareiss_only_on_squares_it_cannot_recover(monkeypatch, m5):
+    recovered = (frierson9("A"), lucas(((0, 0, 0),) * 2), SquareMatrix.all_ones(27))
+    ranks = [m.exact_rank() for m in recovered]
+
+    def refuse(self):
+        raise AssertionError("Bareiss called")
+
+    monkeypatch.setattr(SquareMatrix, "exact_rank", refuse)
+    assert [verify_report(m).exact_rank for m in recovered] == ranks == [5, 0, 1]
+    for m in (m5, SquareMatrix.identity(9), lucas3(4, 3, 1) * Fraction(1, 2)):
+        with pytest.raises(AssertionError, match="Bareiss called"):
+            verify_report(m)
 
 
 signed = st.integers(min_value=-40, max_value=40)
