@@ -12,13 +12,17 @@ The diagonals are kept in a fixed block order: mu first, the per-level
 pairs (innermost level first), zeros last.  The eigenvector and
 singular-vector matrices are Kronecker products of order-3 factors
 (outermost factor on the left), with their columns taken in that order.
-Each distinct product of order-3 entries is formed once, in a per-level value
-table indexed by the digit walk that builds the squares (construct._block_sum):
-the exact factor rows read the table per entry, the residuals gather its floats.
+The exact factor rows form each distinct product of order-3 entries once, in a
+per-level value table indexed by the digit walk that builds the squares
+(construct._block_sum).  The float residuals never form an exact product: they
+apply the Kronecker structure to the order-3 float blocks (mode products over
+base-3 digits, np.kron chains), with no gemm and no BLAS call, so their bits do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,9 +182,14 @@ def _block_product(blocks) -> tuple[list, list[list[int]]]:
             [[index.setdefault(x, len(index)) * len(table) for x in r] for r in block]
         )
         table = [t * x for x in index for t in table]
-    head = [0] + [j * 3 ** k for k in range(len(blocks)) for j in (1, 2)]
+    head = _head_columns(len(blocks))
     pick = itemgetter(*head, *(j for j in range(3 ** len(blocks)) if j not in head))
     return table, [list(pick(r)) for r in _block_sum(index_blocks).rows]
+
+
+def _head_columns(level: int) -> list[int]:
+    """The Kronecker columns of the block-order slots of mu and the level pairs."""
+    return [0] + [j * 3 ** k for k in range(level) for j in (1, 2)]
 
 
 def _rows(table, index, negated=()) -> Rows:
@@ -196,55 +205,147 @@ def _rows(table, index, negated=()) -> Rows:
 
 # ---------------------------------------------------------------------------
 # Numeric residuals (floating point enters here only, and numpy is imported
-# here only, so a process that computes no residual never loads it)
+# here only, so a process that computes no residual never loads it).  They
+# work from the order-3 float blocks: S, U and V are Kronecker products, so
+# M S and (U Sigma) V^T are mode products over M's column digits, S D and
+# U Sigma are np.kron chains with the diagonals in Kronecker column order, and
+# no gemm, BLAS norm or exact factor entry is on the way.
 # ---------------------------------------------------------------------------
 
 
-def _complex_factor(table, index) -> np.ndarray:
-    """complex() once per table entry, then one gather by the index."""
+def _complex(x) -> complex:
+    """complex(x); OverflowError when x is past float range."""
+    z = complex(x)
+    if not cmath.isfinite(z):
+        raise OverflowError("value past float range")
+    return z
+
+
+def _float_block(rows) -> np.ndarray:
     import numpy as np
 
-    return np.array([complex(t) for t in table])[np.array(index)]
+    return np.array([[_complex(x) for x in row] for row in rows])
 
 
-def _float_square(triples) -> np.ndarray:
+def _float_square(triples) -> tuple[np.ndarray, float] | None:
+    """M in floats times the power of two that puts its largest |entry| in
+    [1/2, 1), and that power; None when an entry is past float range.  A
+    power-of-two scale is exact, so the relative residuals round as they
+    would unscaled, and their sums of squares stay in range."""
     import numpy as np
 
-    return np.array(lucas(triples).rows, dtype=float)
+    try:
+        a = np.array(lucas(triples).rows, dtype=float)
+    except OverflowError:
+        return None
+    scale = math.ldexp(1.0, -math.frexp(max(a.max(), -a.min()))[1])
+    a *= scale
+    return a, scale
 
 
-def jcf_residual(triples) -> float:
+def _kron_diagonal(values, level: int, scale: float) -> np.ndarray:
+    """The block-order diagonal values at their Kronecker columns, times scale:
+    mu at column 0, level k's pair at 3^(k-1) and 2*3^(k-1), zeros elsewhere."""
+    import numpy as np
+
+    head = _head_columns(level)
+    out = np.zeros(3 ** level, dtype=complex)
+    out[head] = [_complex(r) * scale for r in values[: len(head)]]
+    return out
+
+
+def _kron_chain(blocks) -> np.ndarray:
+    """kron(blocks[-1], ..., blocks[0]), a new array: blocks[0] at the least
+    significant digit."""
+    import numpy as np
+
+    out = np.ones((1, 1))
+    for b in blocks:
+        out = np.kron(b, out)
+    return out
+
+
+def _mode_products(x, blocks) -> np.ndarray:
+    """x @ _kron_chain(blocks) without a matmul, in O(level * x.size).
+
+    Column m of x has base-3 digits d_k(m).  Level k replaces digit k by
+    sum over a of x[..., a, ...] * blocks[k][a][b]: three elementwise
+    multiply-adds over a view of x with that digit as its middle axis.
+    """
+    rows = x.shape[0]
+    for k, b in enumerate(blocks):
+        x = x.reshape(-1, 3, 3 ** k)
+        out = x[:, :1] * b[0, :, None]
+        out += x[:, 1:2] * b[1, :, None]
+        out += x[:, 2:] * b[2, :, None]
+        x = out
+    return x.reshape(rows, -1)
+
+
+def _relative_norm(x, a) -> float | None:
+    """||x||_F / ||a||_F (absolute for a = 0), each sqrt(sum(|entry|^2)) by
+    numpy's pairwise sum; None when it is not finite."""
+    import numpy as np
+
+    def norm(z):
+        z = z.reshape(-1).view(float)  # a complex entry is its two parts
+        return math.sqrt(float(np.sum(z * z)))
+
+    r = norm(x) / (norm(a) or 1.0)
+    return r if math.isfinite(r) else None
+
+
+def jcf_residual(triples) -> float | None:
     """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0), for
-    M = lucas(triples); ValueError where jcf_matrices refuses.  S D scales S's
-    columns; as each D entry is purely real or purely imaginary, every entry
-    rounds as in the dense S @ diag(D)."""
+    M = lucas(triples), from the order-3 blocks of S: M S by mode products and
+    S D as an np.kron chain scaled by D in Kronecker column order.  ValueError
+    where jcf_matrices refuses; None when M, D or an S block is past float range."""
     triples = normalize_triples(triples)
     return _jcf_residual(triples, _float_square(triples), eigenvalues(triples))
 
 
-def _jcf_residual(triples, a, eigs) -> float:
-    import numpy as np
+def _jcf_residual(triples, square, eigs) -> float | None:
+    exact = [s3(v, y) for _, v, y in triples]  # ValueError first, as in jcf_matrices
+    if square is None:
+        return None
+    a, scale = square
+    try:
+        blocks = [_float_block(b) for b in exact]
+        sd = _kron_chain(blocks)
+        sd *= _kron_diagonal(eigs, len(triples), scale)
+    except OverflowError:
+        return None
+    ms = _mode_products(a, blocks)
+    ms -= sd
+    return _relative_norm(ms, a)
 
-    s = _complex_factor(*_block_product([s3(v, y) for _, v, y in triples]))
-    d = np.array([complex(r) for r in eigs])
-    return float(np.linalg.norm(a @ s - s * d) / (np.linalg.norm(a) or 1.0))
 
-
-def svd_residual(triples) -> float:
+def svd_residual(triples) -> float | None:
     """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0),
-    for M = lucas(triples); U Sigma scales U's columns, as S D does in jcf_residual."""
+    for M = lucas(triples): U Sigma as an np.kron chain of U3 scaled by Sigma in
+    Kronecker column order (the negated U columns as negated Sigma entries), and
+    (U Sigma) V^T by mode products with V3^T.  None when M or Sigma is past
+    float range."""
     triples = normalize_triples(triples)
     return _svd_residual(triples, _float_square(triples), singular_values(triples))
 
 
-def _svd_residual(triples, a, sigma) -> float:
-    import numpy as np
-
-    u = _complex_factor(*_block_product([U3] * len(triples))).real
-    u[:, _negated_columns(triples)] *= -1.0  # float negation is exact
-    v = _complex_factor(*_block_product([V3] * len(triples))).real
-    sig = np.array([float(r) for r in sigma])
-    return float(np.linalg.norm((u * sig) @ v.T - a) / (np.linalg.norm(a) or 1.0))
+def _svd_residual(triples, square, sigma) -> float | None:
+    if square is None:
+        return None
+    a, scale = square
+    level = len(triples)
+    negated = set(_negated_columns(triples))
+    signed = [-r if p in negated else r for p, r in enumerate(sigma[: 2 * level + 1])]
+    try:
+        sig = _kron_diagonal(signed, level, scale).real
+    except OverflowError:
+        return None
+    us = _kron_chain([_float_block(U3).real] * level)
+    us *= sig
+    usv = _mode_products(us, [_float_block(V3).real.T] * level)
+    usv -= a
+    return _relative_norm(usv, a)
 
 
 def orthonormality_residual(rows: Rows) -> float:
@@ -267,8 +368,9 @@ class SpectrumReport:
     eigenvalues: tuple[Radical, ...]
     singular_values: tuple[Radical, ...]
     rank: int
-    jcf_residual: float | None  # None when the eigenvector matrix is refused
-    svd_residual: float
+    # None when the eigenvector matrix is refused or a float is out of range
+    jcf_residual: float | None
+    svd_residual: float | None  # None when a float is out of range
 
     def to_json(self) -> dict:
         return {
@@ -283,7 +385,10 @@ class SpectrumReport:
 
 
 def _radical_json(r: Radical) -> dict:
-    z = complex(r)
+    try:
+        z = _complex(r)
+    except OverflowError:
+        return {"exact": str(r), "approx": None}
     return {"exact": str(r), "approx": [z.real, z.imag]}
 
 
@@ -291,11 +396,11 @@ def spectrum_report(triples) -> SpectrumReport:
     """The closed-form spectrum and both residuals; M, the eigenvalues and the
     singular values are each built once and shared by the residuals."""
     triples = normalize_triples(triples)
-    a = _float_square(triples)
+    square = _float_square(triples)
     eigs = eigenvalues(triples)
     sigma = singular_values(triples)
     try:
-        jr = _jcf_residual(triples, a, eigs)
+        jr = _jcf_residual(triples, square, eigs)
     except ValueError:
         jr = None
     return SpectrumReport(
@@ -305,7 +410,7 @@ def spectrum_report(triples) -> SpectrumReport:
         singular_values=tuple(sigma),
         rank=rank(triples),
         jcf_residual=jr,
-        svd_residual=_svd_residual(triples, a, sigma),
+        svd_residual=_svd_residual(triples, square, sigma),
     )
 
 

@@ -26,8 +26,9 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
-def _run_module(*argv, timeout=60):
-    env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]))
+def _run_module(*argv, timeout=60, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(Path(lucasmagic.__file__).resolve().parents[1]),
+               **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "lucasmagic", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
@@ -239,8 +240,8 @@ def test_spectra_needs_some_input(capsys):
     assert rc == 2
 
 
-# Whole `spectra` stdout, pinned by sha256 with the two residuals masked: BLAS
-# may move their last bits between machines, every other byte is exact.
+# Whole `spectra` stdout, pinned by sha256 with the two residuals masked: a
+# residual is one rounding of an exact zero, every other byte is exact.
 _RESIDUAL = re.compile(r'("(?:jcf|svd)_residual": )(-?[0-9][0-9.eE+-]*)')
 SPECTRA_STDOUT = [  # params, whether the eigenvector matrix is refused, digest
     ("4,3,1", False, "b6b04038f12ae0aa53062da1dd242a9592a290d7e938ffb18293b845b5bbb92d"),
@@ -454,14 +455,50 @@ def test_spectra_prime_pair_radicand():
     assert evs == ["3", "1*sqrt(3000000048000000189)", "-1*sqrt(3000000048000000189)"]
 
 
-def test_spectra_overflowing_residual_exits_2():
-    # the exact values are fine, but no float holds 2**1100: neither the
-    # residuals nor the approx fields, whose complex() fails in _radical_json
-    proc = _run_module("spectra", f"--params=0,{2 ** 1100},0")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+def test_spectra_past_float_range_prints_the_exact_values():
+    # no float holds 2**1100: the exact values print with a null approx, and
+    # the residuals, which need M in floats, print as null
+    big = 2 ** 1100
+    proc = _run_module("spectra", f"--params=0,{big},0")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    obj = json.loads(proc.stdout.split("\n\n", 1)[0], parse_constant=_reject_constant)
+    zero = {"exact": "0", "approx": [0.0, 0.0]}
+    lam = f"{big}*sqrt(3)"
+    assert obj["eigenvalues"] == [
+        zero, {"exact": lam, "approx": None}, {"exact": f"-{lam}", "approx": None}
+    ]
+    assert obj["singular_values"] == [zero] + [{"exact": lam, "approx": None}] * 2
+    assert obj["rank"] == 2
+    assert obj["jcf_residual"] is None and obj["svd_residual"] is None
+
+
+def test_spectra_residuals_of_entries_past_the_square_root_of_float_range():
+    # entries near 1e200 have squares past float range; the residuals are
+    # still small numbers, not NaN, and nothing is written to stderr
+    proc = _run_module("spectra", f"--params=0,{10 ** 200},0")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    obj = json.loads(proc.stdout.split("\n\n", 1)[0], parse_constant=_reject_constant)
+    assert obj["jcf_residual"] < 1e-12 and obj["svd_residual"] < 1e-12
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        "1,3;9,27;81,243;729,2187",
+        "1,3;9,27;81,243;729,2187;6561,19683;59049,177147",  # the natural level-6 square
+    ],
+)
+def test_spectra_stdout_does_not_depend_on_blas_threads(params):
+    # residuals included: the report computes them with no BLAS call
+    outs = [
+        _run_module("spectra", "--family", "frierson", "--params", params,
+                    OPENBLAS_NUM_THREADS=threads)
+        for threads in ("1", "2")
+    ]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
 
 
 @pytest.mark.parametrize(

@@ -406,10 +406,9 @@ def test_spectrum_report_splits_a_few_radicands_per_level(monkeypatch):
 
 
 def test_spectrum_report_forms_each_factor_product_once(monkeypatch):
-    # a level-4 factor has 6561 entries, but S has at most 4 distinct values
-    # per level, so its value table holds 4 + 16 + 64 + 256 RadicalSum
-    # products that the entries share, and complex() runs once per product.
-    # U and V hold single Radicals, whose products are never boxed as sums.
+    # a level-4 factor has 6561 entries, but the residuals work from the
+    # order-3 float blocks: the report forms no exact product of S's sums,
+    # and complex() runs on each level's 9 s3 entries only
     triples = ((4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729))
     calls = {"mul": 0, "complex": 0}
     mul, to_complex = RadicalSum.__mul__, RadicalSum.__complex__
@@ -426,13 +425,13 @@ def test_spectrum_report_forms_each_factor_product_once(monkeypatch):
     monkeypatch.setattr(RadicalSum, "__complex__", counted_complex)
     report = spectrum_report(triples)
     assert report.jcf_residual < 1e-12 and report.svd_residual < 1e-12
-    assert 0 < calls["mul"] <= 4 + 16 + 64 + 256
-    assert 0 < calls["complex"] <= 256
+    assert calls["mul"] == 0
+    assert 0 < calls["complex"] <= 9 * len(triples)
 
 
 # The residuals with each diagonal as a dense matrix, multiplied in O(n^3),
 # over the exact factor rows: the oracle for jcf_residual and svd_residual,
-# which gather their floats from the factors' value tables and scale columns.
+# which work from the order-3 float blocks by Kronecker chains and mode products.
 
 
 def _dense_array(rows):
@@ -472,16 +471,18 @@ level_triple = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_residuals_match_the_dense_diagonals(triples):
     # imaginary pairs (|y| > |v|), negative mu and negative v +- y, whose U
-    # columns are negated, all come up among these; the floats agree bit for bit
+    # columns are negated, all come up among these; both roundings of the
+    # exact zero are tiny, and near each other
     m = lucas(triples)
-    svd = svd_matrices(triples)
-    assert svd_residual(triples).hex() == dense_svd_residual(m, svd).hex()
+    pairs = [(svd_residual(triples), dense_svd_residual(m, svd_matrices(triples)))]
     if all(v * v != y * y for _, v, y in triples):
-        jcf = jcf_matrices(triples)
-        assert jcf_residual(triples).hex() == dense_jcf_residual(m, jcf).hex()
+        pairs.append((jcf_residual(triples), dense_jcf_residual(m, jcf_matrices(triples))))
     else:
         with pytest.raises(ValueError, match="degenerate level"):
             jcf_residual(triples)
+    for got, dense in pairs:
+        assert got < 1e-12 and dense < 1e-12
+        assert abs(got - dense) < 1e-13
 
 
 @given(st.lists(level_triple, min_size=1, max_size=4))
@@ -514,13 +515,78 @@ def test_spectrum_report_builds_shared_values_once(monkeypatch):
 
 
 def test_negated_u_columns_convert_no_extra_values(monkeypatch):
-    # mu and every v +- y negative: U negates 7 of its 27 columns, but the
-    # residual converts each U and V table value once, with no negated copies
-    triples = ((-4, -3, -1), (-36, -27, -9), (-324, -243, -81))
+    # mu and every v +- y negative: U negates 2l+1 of its columns, which the
+    # residual folds into Sigma, so U3 and V3 are converted the same
+    # constant number of times at every level, and Sigma's 2l+1 values once
+    negative = ((-4, -3, -1), (-36, -27, -9), (-324, -243, -81),
+                (-2916, -2187, -729), (-26244, -19683, -6561))
     calls = []
     to_complex = Radical.__complex__
     monkeypatch.setattr(Radical, "__complex__", lambda r: calls.append(r) or to_complex(r))
-    assert svd_residual(triples) < 1e-12
-    u_values = {x for row in U3 for x in row}
-    v_values = {x for row in V3 for x in row}
-    assert len(calls) == len(u_values) ** 3 + len(v_values) ** 3
+    factor_ids = {id(x) for row in U3 + V3 for x in row}
+    for level in (1, 3, 5):
+        calls.clear()
+        assert svd_residual(negative[:level]) < 1e-12
+        factor_calls = sum(1 for r in calls if id(r) in factor_ids)
+        assert factor_calls == 18
+        assert len(calls) == factor_calls + 2 * level + 1
+
+
+def _random_array(rng, shape, kind):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_mode_products_match_the_kron_matmul(level, kind):
+    # the residuals' fast path against the dense product it replaces
+    rng = np.random.default_rng(level)
+    for x_kind in ("real", "complex"):
+        blocks = [_random_array(rng, (3, 3), kind) for _ in range(level)]
+        x = _random_array(rng, (5, 3 ** level), x_kind)
+        kron = np.ones((1, 1))
+        for b in blocks:
+            kron = np.kron(b, kron)
+        assert np.array_equal(spectra._kron_chain(blocks), kron)
+        want = x @ kron
+        got = spectra._mode_products(x, blocks)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+NATURAL = ((4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729))
+
+
+def _swap_first_pair(values):
+    values = list(values)
+    values[1], values[2] = values[2], values[1]
+    return values
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_residuals_detect_corruption(monkeypatch, level):
+    # a negative v + y at level 1 negates a U column; each corrupted input
+    # must lift a residual far above the 1e-9 the reports are held to
+    triples = ((4, -3, -1), *NATURAL[1:level])
+    square = spectra._float_square(triples)
+    eigs, sigma = eigenvalues(triples), singular_values(triples)
+    assert spectra._negated_columns(triples)
+    assert spectra._jcf_residual(triples, square, eigs) < 1e-12
+    assert spectra._svd_residual(triples, square, sigma) < 1e-12
+
+    assert spectra._jcf_residual(triples, square, _swap_first_pair(eigs)) > 1e-9
+    a, scale = square
+    bumped = a.copy()
+    bumped[0, 0] += scale  # one more in M's first entry
+    assert spectra._jcf_residual(triples, (bumped, scale), eigs) > 1e-9
+    assert spectra._svd_residual(triples, (bumped, scale), sigma) > 1e-9
+    negated, chain = spectra._negated_columns, spectra._kron_chain
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "_negated_columns", lambda t: negated(t)[1:])
+        assert spectra._svd_residual(triples, square, sigma) > 1e-9
+    with monkeypatch.context() as m:
+        # the innermost level's first two columns, in S and U but not in M S or V
+        m.setattr(spectra, "_kron_chain", lambda bl: chain([bl[0][:, [1, 0, 2]], *bl[1:]]))
+        assert spectra._jcf_residual(triples, square, eigs) > 1e-9
+        assert spectra._svd_residual(triples, square, sigma) > 1e-9
