@@ -159,7 +159,7 @@ def _cmd_spectra(args) -> int:
     report = spectrum_report(triples)
     print(json.dumps(report.to_json(), indent=2))
     print()
-    lams, sigs = _spectral_row(triples)
+    lams, sigs = _spectral_row(len(triples), report.eigenvalues, report.singular_values)
     head = ["params", *_spectral_head(len(triples))]
     _markdown(head, [[format_lucas_params(triples), *lams, *sigs]])
     return 0

@@ -202,16 +202,6 @@ def phase_parameters(triples, phase: str) -> tuple[Triple, ...]:
     return tuple((c,) + act(v, y) for c, v, y in normalize_triples(triples))
 
 
-def compose_phases(first: str, second: str) -> str:
-    """The phase name equivalent to applying `first`, then `second`."""
-    probe = ((0, 1, 2),)  # generic: all 8 images of (v,y)=(1,2) differ
-    image = phase_parameters(phase_parameters(probe, first), second)
-    for name in PHASE_NAMES:
-        if phase_parameters(probe, name) == image:
-            return name
-    raise AssertionError("phase composition left the group")  # unreachable
-
-
 def canonical_phase(m: SquareMatrix) -> SquareMatrix:
     """The lexicographically smallest (row-major) of the 8 phase images."""
     return min((apply_phase(m, p) for p in PHASE_NAMES), key=lambda x: x.rows)

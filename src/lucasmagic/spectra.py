@@ -15,9 +15,10 @@ singular-vector matrices are Kronecker products of order-3 factors
 The exact factor rows form each distinct product of order-3 entries once, in a
 per-level value table indexed by the digit walk that builds the squares
 (construct._block_sum).  The float residuals never form an exact product: they
-apply the Kronecker structure to the order-3 float blocks (mode products over
-base-3 digits, np.kron chains), with no gemm and no BLAS call, so their bits do
-not depend on the BLAS thread count.
+apply the Kronecker structure to the order-3 float blocks by mode products over
+base-3 digits, with no gemm and no BLAS call, so their bits do not depend on
+the BLAS thread count.  S D and U Sigma are formed in their 2l+1 nonzero
+columns only.
 """
 
 from __future__ import annotations
@@ -207,9 +208,11 @@ def _rows(table, index, negated=()) -> Rows:
 # Numeric residuals (floating point enters here only, and numpy is imported
 # here only, so a process that computes no residual never loads it).  They
 # work from the order-3 float blocks: S, U and V are Kronecker products, so
-# M S and (U Sigma) V^T are mode products over M's column digits, S D and
-# U Sigma are np.kron chains with the diagonals in Kronecker column order, and
-# no gemm, BLAS norm or exact factor entry is on the way.
+# M S and (U Sigma) V^T are mode products over M's column digits.  D and
+# Sigma are zero outside the 2l+1 head columns, so S D and U Sigma are formed
+# there only, as mode products of the unit rows at those columns.  No gemm,
+# BLAS norm or exact factor entry is on the way, and numpy's floating-point
+# warnings are off: a result past float range is a None residual.
 # ---------------------------------------------------------------------------
 
 
@@ -243,30 +246,9 @@ def _float_square(triples) -> tuple[np.ndarray, float] | None:
     return a, scale
 
 
-def _kron_diagonal(values, level: int, scale: float) -> np.ndarray:
-    """The block-order diagonal values at their Kronecker columns, times scale:
-    mu at column 0, level k's pair at 3^(k-1) and 2*3^(k-1), zeros elsewhere."""
-    import numpy as np
-
-    head = _head_columns(level)
-    out = np.zeros(3 ** level, dtype=complex)
-    out[head] = [_complex(r) * scale for r in values[: len(head)]]
-    return out
-
-
-def _kron_chain(blocks) -> np.ndarray:
-    """kron(blocks[-1], ..., blocks[0]), a new array: blocks[0] at the least
-    significant digit."""
-    import numpy as np
-
-    out = np.ones((1, 1))
-    for b in blocks:
-        out = np.kron(b, out)
-    return out
-
-
 def _mode_products(x, blocks) -> np.ndarray:
-    """x @ _kron_chain(blocks) without a matmul, in O(level * x.size).
+    """x @ kron(blocks[-1], ..., blocks[0]) without a matmul, in
+    O(level * x.size): blocks[0] acts on the least significant digit.
 
     Column m of x has base-3 digits d_k(m).  Level k replaces digit k by
     sum over a of x[..., a, ...] * blocks[k][a][b]: three elementwise
@@ -280,6 +262,26 @@ def _mode_products(x, blocks) -> np.ndarray:
         out += x[:, 2:] * b[2, :, None]
         x = out
     return x.reshape(rows, -1)
+
+
+def _head_products(blocks, values, scale: float) -> np.ndarray:
+    """The columns of kron(blocks[-1], ..., blocks[0]) at _head_columns, each
+    times its block-order value and scale: the 2l+1 nonzero columns of S D or
+    U Sigma, complex.  OverflowError when a value is past float range.
+
+    A column of a Kronecker product is the Kronecker product of one column
+    of each block, so these are the mode products of the unit rows at the
+    head columns with the transposed blocks, transposed back.  Column 0 of
+    every s3 block is all ones and U3 is real, so for them the bits are
+    those of the whole Kronecker product.
+    """
+    import numpy as np
+
+    head = _head_columns(len(blocks))
+    units = np.zeros((len(head), 3 ** len(blocks)))
+    units[range(len(head)), head] = 1.0
+    cols = _mode_products(units, [b.T for b in blocks]).T
+    return cols * [_complex(r) * scale for r in values[: len(head)]]
 
 
 def _relative_norm(x, a) -> float | None:
@@ -297,63 +299,59 @@ def _relative_norm(x, a) -> float | None:
 
 def jcf_residual(triples) -> float | None:
     """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0), for
-    M = lucas(triples), from the order-3 blocks of S: M S by mode products and
-    S D as an np.kron chain scaled by D in Kronecker column order.  ValueError
-    where jcf_matrices refuses; None when M, D or an S block is past float range."""
+    M = lucas(triples), from the order-3 blocks of S: M S by mode products,
+    less S D in its 2l+1 nonzero columns.  ValueError where jcf_matrices
+    refuses; None when M, D or an S block is past float range."""
     triples = normalize_triples(triples)
     return _jcf_residual(triples, _float_square(triples), eigenvalues(triples))
 
 
 def _jcf_residual(triples, square, eigs) -> float | None:
+    import numpy as np
+
     exact = [s3(v, y) for _, v, y in triples]  # ValueError first, as in jcf_matrices
     if square is None:
         return None
     a, scale = square
-    try:
-        blocks = [_float_block(b) for b in exact]
-        sd = _kron_chain(blocks)
-        sd *= _kron_diagonal(eigs, len(triples), scale)
-    except OverflowError:
-        return None
-    ms = _mode_products(a, blocks)
-    ms -= sd
-    return _relative_norm(ms, a)
+    with np.errstate(all="ignore"):
+        try:
+            blocks = [_float_block(b) for b in exact]
+            sd = _head_products(blocks, eigs, scale)
+        except OverflowError:
+            return None
+        ms = _mode_products(a, blocks)
+        ms[:, _head_columns(len(blocks))] -= sd
+        return _relative_norm(ms, a)
 
 
 def svd_residual(triples) -> float | None:
     """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0),
-    for M = lucas(triples): U Sigma as an np.kron chain of U3 scaled by Sigma in
-    Kronecker column order (the negated U columns as negated Sigma entries), and
-    (U Sigma) V^T by mode products with V3^T.  None when M or Sigma is past
-    float range."""
+    for M = lucas(triples): U Sigma in its 2l+1 nonzero columns from U3 and
+    Sigma (the negated U columns as negated Sigma entries), and (U Sigma) V^T
+    by mode products with V3^T.  None when M or Sigma is past float range."""
     triples = normalize_triples(triples)
     return _svd_residual(triples, _float_square(triples), singular_values(triples))
 
 
 def _svd_residual(triples, square, sigma) -> float | None:
+    import numpy as np
+
     if square is None:
         return None
     a, scale = square
     level = len(triples)
     negated = set(_negated_columns(triples))
     signed = [-r if p in negated else r for p, r in enumerate(sigma[: 2 * level + 1])]
-    try:
-        sig = _kron_diagonal(signed, level, scale).real
-    except OverflowError:
-        return None
-    us = _kron_chain([_float_block(U3).real] * level)
-    us *= sig
-    usv = _mode_products(us, [_float_block(V3).real.T] * level)
-    usv -= a
-    return _relative_norm(usv, a)
-
-
-def orthonormality_residual(rows: Rows) -> float:
-    """|| Q^T Q - I ||_F for a real radical matrix Q, given by its rows."""
-    import numpy as np
-
-    q = np.array([[float(x) for x in row] for row in rows])
-    return float(np.linalg.norm(q.T @ q - np.eye(len(rows))))
+    with np.errstate(all="ignore"):
+        try:
+            head = _head_products([_float_block(U3).real] * level, signed, scale)
+        except OverflowError:
+            return None
+        us = np.zeros_like(a)
+        us[:, _head_columns(level)] = head.real
+        usv = _mode_products(us, [_float_block(V3).real.T] * level)
+        usv -= a
+        return _relative_norm(usv, a)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +415,8 @@ def spectrum_report(triples) -> SpectrumReport:
 def table1_row(v: int, y: int, s: int, t: int) -> dict:
     """|lambda_1|, |lambda_2| and sigma_2..sigma_5 / sqrt(3) for an order-9
     Frierson square, in the layout the ``tables`` command prints."""
-    lams, sigs = _spectral_row([(v + y, v, y), (s + t, s, t)])
+    triples = [(v + y, v, y), (s + t, s, t)]
+    lams, sigs = _spectral_row(2, eigenvalues(triples), singular_values(triples))
     return {
         "set": (v, y, s, t),
         "abs_lambda1": lams[0],
@@ -426,14 +425,11 @@ def table1_row(v: int, y: int, s: int, t: int) -> dict:
     }
 
 
-def _spectral_row(triples) -> tuple[list[str], list[int]]:
-    """|lambda_i| = 3^(l-1) sqrt(3 |v_i^2 - y_i^2|) per level as strings, and
-    sigma_2..sigma_(2l+1) / sqrt(3) as the integers 3^(l-1) |v_i +- y_i|,
-    read from the closed form."""
-    triples = normalize_triples(triples)
-    scale = 3 ** (len(triples) - 1)
-    lams = [str(Radical(scale, 3 * abs(v * v - y * y))) for _, v, y in triples]
-    return lams, [scale * abs(w) for w in _phi_psi_coeffs(triples)]
+def _spectral_row(level: int, eigs, sigma) -> tuple[list[str], list[int]]:
+    """|lambda_i| per level as strings, and sigma_2..sigma_(2l+1) / sqrt(3) as
+    integers (their coefficients), read from the block-order diagonals."""
+    pairs = slice(1, 2 * level + 1)
+    return [str(abs(r)) for r in eigs[pairs][::2]], [int(r.coeff) for r in sigma[pairs]]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from lucasmagic.construct import (
     PHASE_NAMES,
     apply_phase,
     canonical_parameters,
-    compose_phases,
     frierson_to_lucas,
     lucas,
     lucas3,
@@ -39,7 +38,6 @@ from lucasmagic.spectra import (
     jcf_residual,
     lucas3_inverse,
     matrix_power,
-    orthonormality_residual,
     rank,
     singular_values,
     svd_matrices,
@@ -52,6 +50,8 @@ from lucasmagic.verify import (
     check_regular,
     recover_lucas_params,
 )
+
+from helpers import compose_phases, orthonormality_residual
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

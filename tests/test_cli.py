@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import lucasmagic
+from lucasmagic import radical
 from lucasmagic.algebra import build_commuting_lucas_pair
 from lucasmagic.cli import _refuse_unprintable, build_parser, main
 from lucasmagic.construct import frierson9, lucas, lucas3, parse_lucas_params
@@ -481,6 +482,27 @@ def test_spectra_residuals_of_entries_past_the_square_root_of_float_range():
     assert proc.stderr == ""
     obj = json.loads(proc.stdout.split("\n\n", 1)[0], parse_constant=_reject_constant)
     assert obj["jcf_residual"] < 1e-12 and obj["svd_residual"] < 1e-12
+
+
+def test_spectra_near_degenerate_levels_print_no_numpy_warning():
+    # v - y = 2 beside entries near 2^1000: the float products overflow, and
+    # the report says so with its residuals, not with RuntimeWarnings
+    v, y = 2 ** 1000 + 1, 2 ** 1000 - 1
+    proc = _run_module("spectra", "--params", ";".join([f"0,{v},{y}"] * 3))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_spectra_splits_each_radicand_once(capsys, monkeypatch):
+    # eigenvalues split mu's radicand and 3(v^2 - y^2) per level, omega its
+    # 3(v^2 - y^2) per level; the printed row reads them from the report
+    calls = []
+    split = radical.squarefree_split
+    monkeypatch.setattr(radical, "squarefree_split", lambda n: calls.append(n) or split(n))
+    rc, out, err = run(capsys, "spectra", "--params=4,3,1;36,27,9;324,243,81;2916,2187,729")
+    assert rc == 0 and err == ""
+    assert "| 4,3,1;36,27,9;324,243,81;2916,2187,729 | 54*sqrt(6) | 486*sqrt(6) |" in out
+    assert len(calls) <= 2 * 4 + 1
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from lucasmagic.construct import (
     apply_phase,
     canonical_parameters,
     canonical_phase,
-    compose_phases,
     compound_once,
     format_frierson_params,
     format_lucas_params,
@@ -30,6 +29,8 @@ from lucasmagic.construct import (
 )
 from lucasmagic.exactmat import SquareMatrix, kron
 from lucasmagic.verify import check_magic, check_natural, check_regular
+
+from helpers import compose_phases
 
 # The eight order-3 natural squares, keyed by parameters.
 NATURAL3 = {

@@ -6,7 +6,6 @@ from lucasmagic.construct import (
     PHASE_NAMES,
     apply_phase,
     canonical_parameters,
-    compose_phases,
     lucas,
     magic_index,
     phase_parameters,
@@ -19,6 +18,8 @@ from lucasmagic.verify import (
     check_regular,
     recover_lucas_params,
 )
+
+from helpers import compose_phases
 
 value = st.integers(min_value=-60, max_value=60)
 triples_any = st.lists(

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from lucasmagic.spectra import (
     lucas3_inverse,
     matrix_power,
     matrix_power_digits,
-    orthonormality_residual,
     rank,
     s3,
     singular_values,
@@ -27,6 +28,8 @@ from lucasmagic.spectra import (
     svd_residual,
     table1_row,
 )
+
+from helpers import orthonormality_residual
 
 A_SET = ((4, 3, 1), (36, 27, 9))
 
@@ -485,6 +488,124 @@ def test_residuals_match_the_dense_diagonals(triples):
         assert abs(got - dense) < 1e-13
 
 
+# S D and U Sigma as whole np.kron chains of the float blocks, scaled by the
+# diagonals in Kronecker column order: the oracle for the library's head
+# columns, which must give the same residual bits wherever it is warning-free
+# (each head entry is the same product, and D and Sigma zero the rest).
+
+
+def _kron_chain(blocks):
+    """kron(blocks[-1], ..., blocks[0]): blocks[0] at the least significant digit."""
+    out = np.ones((1, 1))
+    for b in blocks:
+        out = np.kron(b, out)
+    return out
+
+
+def _kron_diagonal(values, level, scale):
+    head = spectra._head_columns(level)
+    out = np.zeros(3 ** level, dtype=complex)
+    out[head] = [spectra._complex(r) * scale for r in values[: len(head)]]
+    return out
+
+
+def kron_chain_jcf_residual(triples, square, eigs):
+    exact = [s3(v, y) for _, v, y in triples]
+    if square is None:
+        return None
+    a, scale = square
+    try:
+        blocks = [spectra._float_block(b) for b in exact]
+        sd = _kron_chain(blocks)
+        sd *= _kron_diagonal(eigs, len(triples), scale)
+    except OverflowError:
+        return None
+    ms = spectra._mode_products(a, blocks)
+    ms -= sd
+    return spectra._relative_norm(ms, a)
+
+
+def kron_chain_svd_residual(triples, square, sigma):
+    if square is None:
+        return None
+    a, scale = square
+    level = len(triples)
+    negated = set(spectra._negated_columns(triples))
+    signed = [-r if p in negated else r for p, r in enumerate(sigma[: 2 * level + 1])]
+    try:
+        sig = _kron_diagonal(signed, level, scale).real
+    except OverflowError:
+        return None
+    us = _kron_chain([spectra._float_block(U3).real] * level)
+    us *= sig
+    usv = spectra._mode_products(us, [spectra._float_block(V3).real.T] * level)
+    usv -= a
+    return spectra._relative_norm(usv, a)
+
+
+def _hex(x):
+    return None if x is None else x.hex()
+
+
+@given(st.lists(level_triple, min_size=1, max_size=3))
+@example([(4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729),
+          (26244, 19683, 6561)])  # natural, level 5
+@example([(0, 0, 0)])  # zero squares
+@example([(0, 0, 0), (0, 0, 0), (0, 0, 0)])
+@example([(0, 10 ** 200, 0)])  # entries past the square root of float range
+@example([(0, 2 ** 1100, 0)])  # M past float range: both residuals None
+@settings(max_examples=100, deadline=None)
+def test_residuals_equal_the_kron_chain_bit_for_bit(triples):
+    triples = tuple(triples)
+    square = spectra._float_square(triples)
+    eigs, sigma = eigenvalues(triples), singular_values(triples)
+    refused = any(v * v == y * y for _, v, y in triples)
+    try:
+        with np.errstate(all="raise"):  # the oracle must be warning-free
+            want_svd = kron_chain_svd_residual(triples, square, sigma)
+            want_jcf = None if refused else kron_chain_jcf_residual(triples, square, eigs)
+    except FloatingPointError:
+        return
+    report = spectrum_report(triples)
+    assert _hex(svd_residual(triples)) == _hex(report.svd_residual) == _hex(want_svd)
+    assert _hex(report.jcf_residual) == _hex(want_jcf)
+    if refused:
+        with pytest.raises(ValueError, match="degenerate level"):
+            jcf_residual(triples)
+    else:
+        assert _hex(jcf_residual(triples)) == _hex(want_jcf)
+
+
+NATURAL_FRIERSON6 = ((1, 3), (9, 27), (81, 243), (729, 2187), (6561, 19683), (59049, 177147))
+
+
+def test_jcf_residual_forms_no_dense_s_d():
+    # M S and its mode-product temporaries are three complex n x n arrays;
+    # S D as a whole n x n array would be a fourth
+    triples = frierson_to_lucas(NATURAL_FRIERSON6)
+    square = spectra._float_square(triples)
+    eigs = eigenvalues(triples)
+    tracemalloc.start()
+    try:
+        assert spectra._jcf_residual(triples, square, eigs) < 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 729 ** 2 * np.dtype(complex).itemsize
+
+
+# v - y = 2 beside entries near 2^k: past level 3 or so the products of the
+# S blocks overflow, which numpy reports as RuntimeWarnings unless told not to
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [394, 519, 706, 1000, 1018])
+def test_residuals_emit_no_numpy_warning(k, level):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = spectrum_report([(0, 2 ** k + 1, 2 ** k - 1)] * level)
+    for r in (report.jcf_residual, report.svd_residual):
+        assert r is None or math.isfinite(r)
+
+
 @given(st.lists(level_triple, min_size=1, max_size=4))
 @example([(0, 0, 0), (1, 2, -2)])  # zero mu and zero v +- y
 def test_singular_values_match_the_splitting_constructor(triples):
@@ -540,19 +661,41 @@ def _random_array(rng, shape, kind):
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_mode_products_match_the_kron_matmul(level, kind):
-    # the residuals' fast path against the dense product it replaces
+    # the residuals' fast path against the dense products it replaces
     rng = np.random.default_rng(level)
     for x_kind in ("real", "complex"):
         blocks = [_random_array(rng, (3, 3), kind) for _ in range(level)]
         x = _random_array(rng, (5, 3 ** level), x_kind)
-        kron = np.ones((1, 1))
-        for b in blocks:
-            kron = np.kron(b, kron)
-        assert np.array_equal(spectra._kron_chain(blocks), kron)
+        kron = _kron_chain(blocks)
         want = x @ kron
         got = spectra._mode_products(x, blocks)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        values = [Radical(int(k)) for k in rng.integers(-9, 10, 2 * level + 1)]
+        want = kron[:, spectra._head_columns(level)] * [complex(r) * 0.5 for r in values]
+        got = spectra._head_products(blocks, values, 0.5)
+        if kind == "real":
+            assert np.array_equal(got, want)
+        else:
+            # numpy's complex product is a fused multiply-add, so a * b and
+            # b * a can round apart; the s3 blocks' products are exact (below)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_head_products_of_the_s_blocks_are_the_kron_chain_bits(level):
+    # column 0 of every s3 block is all ones, so a head entry is one block
+    # entry times ones, whatever the order of the products; imaginary pairs
+    # make every block complex
+    rng = random.Random(level)
+    for _ in range(5):
+        triples = [(rng.randint(-99, 99), rng.randint(1, 99), rng.randint(100, 199))
+                   for _ in range(level)]
+        blocks = [spectra._float_block(s3(v, y)) for _, v, y in triples]
+        eigs = eigenvalues(triples)
+        want = _kron_chain(blocks) * _kron_diagonal(eigs, level, 0.125)
+        got = spectra._head_products(blocks, eigs, 0.125)
+        assert np.array_equal(got, want[:, spectra._head_columns(level)])
 
 
 NATURAL = ((4, 3, 1), (36, 27, 9), (324, 243, 81), (2916, 2187, 729))
@@ -581,12 +724,13 @@ def test_residuals_detect_corruption(monkeypatch, level):
     bumped[0, 0] += scale  # one more in M's first entry
     assert spectra._jcf_residual(triples, (bumped, scale), eigs) > 1e-9
     assert spectra._svd_residual(triples, (bumped, scale), sigma) > 1e-9
-    negated, chain = spectra._negated_columns, spectra._kron_chain
+    negated, head = spectra._negated_columns, spectra._head_products
     with monkeypatch.context() as m:
         m.setattr(spectra, "_negated_columns", lambda t: negated(t)[1:])
         assert spectra._svd_residual(triples, square, sigma) > 1e-9
     with monkeypatch.context() as m:
         # the innermost level's first two columns, in S and U but not in M S or V
-        m.setattr(spectra, "_kron_chain", lambda bl: chain([bl[0][:, [1, 0, 2]], *bl[1:]]))
+        m.setattr(spectra, "_head_products",
+                  lambda bl, values, scale: head([bl[0][:, [1, 0, 2]], *bl[1:]], values, scale))
         assert spectra._jcf_residual(triples, square, eigs) > 1e-9
         assert spectra._svd_residual(triples, square, sigma) > 1e-9
