@@ -25,7 +25,9 @@ absolute value, inverse and sums keep a squarefree radicand, and the product
 of squarefree d and e is g**2 times the squarefree (d/g)(e/g), g = gcd(d, e),
 so it costs one gcd (Cohen, A Course in Computational Algebraic Number
 Theory, section 1.7).  A RadicalSum adds the coefficients of canonical terms,
-so it never splits either.
+so it never splits either.  A radicand whose factors are known is split
+factor by factor and merged by the same rule: spectra's eigenvalue radicands
+3(v^2 - y^2) arrive as |v| - |y| and |v| + |y|, so rho never rediscovers them.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
 # Rho iterations per _brent_divisor call and divisions per _least_divisor
 # call, on numbers below 2**128 (_words scales the charge above).  Rho finds a
 # prime factor p in about sqrt(p) iterations, so this reaches factors up to
-# about 10**11; parameters up to 10**6 give radicands below 3 * 10**12, whose
-# pieces need a few thousand at most.
+# about 10**11; parameters up to 10**6 give eigenvalue radicand factors
+# |v| +- |y| of at most 2 * 10**6, whose pieces need a few hundred at most.
 _FACTOR_BUDGET = 1 << 20
 
 

@@ -8,6 +8,11 @@ nonzero spectrum by 3 and appends the outer level's pair, so at level l the
 nonzero eigenvalues are mu and +-3^(l-1) lambda_i and the nonzero singular
 values are |mu|, 3^(l-1)|phi_i|, 3^(l-1)|psi_i| — everything else is zero.
 
+lambda is built from the squarefree splits of the two factors of
+v^2 - y^2 = (|v|-|y|)(|v|+|y|), merged with one gcd, so the product is never
+factored; Omega = 3(v+y)/lambda = (v+y)/(v^2 - y^2) lambda reuses that
+lambda, and the report's eigenvector blocks take it from the eigenvalues.
+
 The diagonals are kept in a fixed block order: mu first, the per-level
 pairs (innermost level first), zeros last.  The eigenvector and
 singular-vector matrices are Kronecker products of order-3 factors
@@ -30,6 +35,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
+from . import radical
 from .construct import _block_sum, normalize_triples, lucas, lucas3, magic_index, rank
 from .exactmat import SquareMatrix
 from .radical import Radical, RadicalSum
@@ -38,12 +44,42 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def _lambda(v: int, y: int) -> tuple[int, int]:
+    """lambda = sqrt(3(v^2 - y^2)) as (k, f) with lambda = k sqrt(f) canonical:
+    f squarefree, negative for an imaginary lambda, and (0, 0) for zero.
+
+    v^2 - y^2 = (|v|-|y|)(|v|+|y|), so each factor is split on its own and
+    their squarefree parts f1, f2 merge as g^2 (f1/g)(f2/g), g = gcd(f1, f2),
+    with (f1/g)(f2/g) squarefree (Cohen, section 1.7): the product is never
+    factored, so rho never has to rediscover the factors.  The sign is that
+    of |v|-|y|.
+    """
+    a, b = abs(v) - abs(y), abs(v) + abs(y)
+    if a == 0:
+        return 0, 0
+    k1, f1 = radical.squarefree_split(abs(a))
+    k2, f2 = radical.squarefree_split(b)
+    g = math.gcd(f1, f2)
+    k, f = k1 * k2 * g, (f1 // g) * (f2 // g)
+    if f % 3:
+        f *= 3
+    else:
+        k, f = 3 * k, f // 3
+    return k, f if a > 0 else -f
+
+
 def omega(v: int, y: int) -> Radical:
     """Omega = 3(v+y)/lambda — the eigenvector entry offset; needs v^2 != y^2."""
+    return _omega(v, y, *_lambda(v, y))
+
+
+def _omega(v: int, y: int, k: int | Fraction, f: int) -> Radical:
+    """Omega = (v+y)/(v^2-y^2) lambda for lambda = k sqrt(f) canonical, k
+    rational: no split.  ValueError when v^2 = y^2."""
     disc = v * v - y * y
     if disc == 0:
         raise ValueError(f"degenerate level (v, y) = ({v}, {y}): eigenvector matrix undefined")
-    return Radical(Fraction(v + y, disc), 3 * disc)
+    return Radical._canonical(Fraction((v + y) * k, disc), f)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +109,8 @@ def eigenvalues(triples) -> list[Radical]:
     scale = 3 ** (len(triples) - 1)
     pairs = []
     for _, v, y in triples:
-        r = Radical(scale, 3 * (v * v - y * y))
+        k, f = _lambda(v, y)
+        r = Radical._canonical(Fraction(scale * k), f) if k else _ZERO
         pairs += (r, -r)
     return _block_diagonal(Radical(magic_index(triples)), pairs, len(triples))
 
@@ -101,13 +138,29 @@ Rows = tuple[tuple[Radical | RadicalSum, ...], ...]
 
 def s3(v: int, y: int) -> Rows:
     """Eigenvector matrix of lucas3(c, v, y): columns for 3c, +lambda, -lambda."""
-    om = omega(v, y)
+    return _s3(omega(v, y))
+
+
+def _s3(om: Radical) -> Rows:
+    """The s3 block for the offset om = Omega."""
     one = RadicalSum(1)
     return (
         (one, one + om, one - om),
         (one, RadicalSum(-2), RadicalSum(-2)),
         (one, one - om, one + om),
     )
+
+
+def _s_blocks(triples, eigs) -> list[Rows]:
+    """Each level's s3 block, its Omega from lambda_i read off that level's
+    pair +-3^(l-1) lambda_i in eigs, so no radicand is split again; lambda is
+    the member with the positive coefficient, whichever slot holds it.
+    ValueError when a level has v^2 = y^2."""
+    scale = 3 ** (len(triples) - 1)
+    return [
+        _s3(_omega(v, y, abs(r.coeff) / scale, r.radicand))
+        for (_, v, y), r in zip(triples, eigs[1::2])
+    ]
 
 
 # The order-3 singular-vector factors, columns for 3c, phi and psi
@@ -135,9 +188,9 @@ def jcf_matrices(triples) -> DecompositionMatrices:
     eigenvector offset Omega is undefined there.
     """
     triples = normalize_triples(triples)
+    eigs = eigenvalues(triples)
     return DecompositionMatrices(
-        s=_rows(*_block_product([s3(v, y) for _, v, y in triples])),
-        d=tuple(eigenvalues(triples)),
+        s=_rows(*_block_product(_s_blocks(triples, eigs))), d=tuple(eigs)
     )
 
 
@@ -309,7 +362,7 @@ def jcf_residual(triples) -> float | None:
 def _jcf_residual(triples, square, eigs) -> float | None:
     import numpy as np
 
-    exact = [s3(v, y) for _, v, y in triples]  # ValueError first, as in jcf_matrices
+    exact = _s_blocks(triples, eigs)  # ValueError first, as in jcf_matrices
     if square is None:
         return None
     a, scale = square

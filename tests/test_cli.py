@@ -494,8 +494,9 @@ def test_spectra_near_degenerate_levels_print_no_numpy_warning():
 
 
 def test_spectra_splits_each_radicand_once(capsys, monkeypatch):
-    # eigenvalues split mu's radicand and 3(v^2 - y^2) per level, omega its
-    # 3(v^2 - y^2) per level; the printed row reads them from the report
+    # eigenvalues split mu's radicand and |v| - |y|, |v| + |y| per level; the
+    # s3 blocks take lambda from the eigenvalues and the printed row reads
+    # them from the report, so neither splits again
     calls = []
     split = radical.squarefree_split
     monkeypatch.setattr(radical, "squarefree_split", lambda n: calls.append(n) or split(n))
@@ -538,6 +539,20 @@ def test_spectra_out_of_the_factoring_budget_exits_2(params):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: radicand not factored")
     assert "Traceback" not in proc.stderr
+
+
+def test_spectra_prints_a_prime_pair_out_of_rhos_reach():
+    # v -+ y are the primes 1000000000039 and 1000000000061: rho cannot
+    # split their product within the budget, and Miller-Rabin proves each
+    # factor prime with no rho at all
+    v, y = 1000000000050, 11
+    proc = _run_module("spectra", f"--params=1,{v},{y}", timeout=30)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    obj = json.loads(proc.stdout.split("\n\n", 1)[0], parse_constant=_reject_constant)
+    lam = f"1*sqrt({3 * (v * v - y * y)})"
+    assert [r["exact"] for r in obj["eigenvalues"]] == ["3", lam, "-" + lam]
+    assert obj["rank"] == 3
 
 
 def test_spectra_budget_charges_rho_by_the_numbers_size():

@@ -29,7 +29,7 @@ from lucasmagic.spectra import (
     table1_row,
 )
 
-from helpers import orthonormality_residual
+from helpers import lambda_oracle, omega_oracle, orthonormality_residual, s3_oracle
 
 A_SET = ((4, 3, 1), (36, 27, 9))
 
@@ -311,13 +311,16 @@ def test_matrix_power_zero_factors_at_a_huge_exponent(triples):
 
 
 def test_eigenvalues_split_each_radicand_once(monkeypatch):
-    # v -+ y are twin primes near 1e6 and 1e9; c sums to 0, so mu needs no split
+    # v -+ y are twin primes near 1e6 and 1e9; c sums to 0, so mu needs no
+    # split; each level splits its factors |v| - |y| and |v| + |y| once
     triples = ((1, 1000038, 1), (0, 1000000008, 1), (-1, 1000038, -1))
     calls = []
     split = radical.squarefree_split
     monkeypatch.setattr(radical, "squarefree_split", lambda n: calls.append(n) or split(n))
     evs = eigenvalues(triples)
-    assert sorted(calls) == sorted(3 * (v * v - y * y) for _, v, y in triples)
+    assert sorted(calls) == sorted(
+        w for _, v, y in triples for w in (abs(v) - abs(y), abs(v) + abs(y))
+    )
     r = evs[1]
     expected = (evs[2], r, r, Radical(1) / r)
     calls.clear()
@@ -734,3 +737,79 @@ def test_residuals_detect_corruption(monkeypatch, level):
                   lambda bl, values, scale: head([bl[0][:, [1, 0, 2]], *bl[1:]], values, scale))
         assert spectra._jcf_residual(triples, square, eigs) > 1e-9
         assert spectra._svd_residual(triples, square, sigma) > 1e-9
+
+
+# lambda from the splits of |v| -+ |y| against the oracle that splits the
+# whole radicand 3(v^2 - y^2).  Huge levels have v + y and v - y equal to
+# twice a value up to 10^6 times a power of ten up to 10^24, so the oracle's
+# product stays within the factoring budget.
+
+
+def _huge_level(c, a, e, b, f):
+    a, b = a * 10 ** e, b * 10 ** f
+    return c, a + b, a - b
+
+
+oracle_level = st.one_of(
+    level_triple,
+    st.builds(_huge_level, wide, wide, st.integers(0, 24), wide, st.integers(0, 24)),
+    # v = 0 or y = 0
+    st.builds(lambda c, w, first: (c, w, 0) if first else (c, 0, w), wide, wide, st.booleans()),
+)
+
+
+@given(st.lists(oracle_level, min_size=1, max_size=3))
+@example([(1, 1000038, 1), (0, -1000038, 1), (2, 1, -1000038)])  # twin-prime factors, imaginary
+@example([(0, 0, 0), (5, 7, 0), (-5, 0, 7)])  # zero, v = 0 and y = 0
+@example([(3, 2 * 10 ** 30, 10 ** 30), (0, -10 ** 30, 10 ** 30 + 2)])
+@example([(4, 3, 1), (36, 27, 9), (324, 243, 81)])  # natural
+@settings(max_examples=80, deadline=None)
+def test_spectral_values_equal_the_whole_radicand_oracle(triples):
+    level, scale = len(triples), 3 ** (len(triples) - 1)
+    want = [Radical(magic_index(triples))]
+    for _, v, y in triples:
+        r = lambda_oracle(v, y, scale)
+        want += (r, -r)
+    want += [Radical(0)] * (3 ** level - len(want))
+    got = eigenvalues(triples)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert [hash(r) for r in got] == [hash(r) for r in want]
+
+    degenerate = any(v * v == y * y for _, v, y in triples)
+    for _, v, y in triples:
+        if v * v == y * y:
+            with pytest.raises(ValueError):
+                spectra.omega(v, y)
+        else:
+            assert repr(spectra.omega(v, y)) == repr(omega_oracle(v, y))
+            assert s3(v, y) == s3_oracle(v, y)
+
+    report = spectrum_report(triples)
+    assert report.eigenvalues == tuple(want)
+    assert report.singular_values == tuple(singular_values(triples))
+    assert (report.order, report.mu, report.rank) == (3 ** level, magic_index(triples), rank(triples))
+    if degenerate:
+        assert report.jcf_residual is None
+        with pytest.raises(ValueError):
+            jcf_matrices(triples)
+        return
+    blocks = [s3_oracle(v, y) for _, v, y in triples]
+    s = blocks[-1]
+    for b in reversed(blocks[:-1]):
+        s = rad_kron(s, b)
+    dec = jcf_matrices(triples)
+    assert dec.s == _permute_columns(s, _kron_columns(level))
+    assert dec.d == tuple(want)
+
+
+@pytest.mark.parametrize("v, y", [(1000038, 1), (-1000038, 1), (1, 1000038), (-1, -1000038)])
+def test_eigenvalues_of_a_prime_pair_run_no_rho(monkeypatch, v, y):
+    # |v| -+ |y| are the primes 1000037 and 1000039: each passes trial
+    # division whole, where their product needed rho to split it again
+    want, want_omega = lambda_oracle(v, y), omega_oracle(v, y)
+    calls = []
+    brent = radical._brent_divisor
+    monkeypatch.setattr(radical, "_brent_divisor", lambda n: calls.append(n) or brent(n))
+    assert eigenvalues([(0, v, y)])[1:] == [want, -want]
+    assert spectra.omega(v, y) == want_omega
+    assert calls == []
