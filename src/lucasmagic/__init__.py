@@ -62,7 +62,6 @@ _EXPORTS = {
     "exactmat": ("SquareMatrix", "commutator", "kron"),
     "radical": ("Radical", "RadicalSum"),
     "spectra": (
-        "DecompositionMatrices",
         "SpectrumReport",
         "eigenvalues",
         "jcf_matrices",

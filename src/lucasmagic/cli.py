@@ -29,7 +29,7 @@ from .construct import (
     parse_frierson_params,
     parse_lucas_params,
 )
-from .exactmat import SquareMatrix
+from .exactmat import SquareMatrix, _int_digit_limit
 
 # Table 1 pairs letters whose squares share a spectrum; keep its row order.
 _TABLE1_ROWS = (("A", "G"), ("D", "J"), ("B", "H"), ("E", "K"), ("C", "I"), ("F", "L"))
@@ -167,11 +167,11 @@ def _cmd_spectra(args) -> int:
 
 def _refuse_unprintable(digits: float, what: str) -> None:
     """Raise ValueError when an integer of `digits` decimal digits is past
-    Python's limit for printing integers (Python < 3.10.7 has none,
-    reported as 0 here).  `digits` may read one digit high, never more, so
-    with one digit of slack a refused integer could not have been printed.
+    Python's limit for printing integers (0: none).  `digits` may read one
+    digit high, never more, so with one digit of slack a refused integer
+    could not have been printed.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_digit_limit()
     if limit and digits > limit + 1:
         raise ValueError(
             f"{what} of more than {limit} digits, the limit for printing integers"

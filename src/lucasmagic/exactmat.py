@@ -55,11 +55,17 @@ def _parse_grid_row(tokens) -> list:
     return [_parse_fraction(tok) for tok in tokens]
 
 
+def _int_digit_limit() -> int:
+    """Python's limit on the decimal digits of an int read from or printed to
+    a string, read at each call; 0 means no limit (Python < 3.10.7 has none)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _parse_fraction(tok: str) -> Fraction:
     # Fraction builds 10**exponent before anything is checked; the same value
     # written out in digits is refused past the int digit limit, so an
     # exponent past that limit is refused here, up front (0: no limit)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_digit_limit()
     exp = tok.lower().partition("e")[2].lstrip("+-").replace("_", "")
     if limit and exp.isdecimal() and (len(exp) > limit or int(exp) > limit):
         raise ValueError(f"grid cell {tok!r} has an exponent past {limit} digits")

@@ -432,7 +432,7 @@ class RadicalSum:
 
     @staticmethod
     def _iter_terms(terms):
-        if isinstance(terms, (Radical, int, Fraction)):
+        if isinstance(terms, (Radical, RadicalSum, int, Fraction)):
             terms = (terms,)
         for t in terms:
             if isinstance(t, RadicalSum):

@@ -17,13 +17,14 @@ The diagonals are kept in a fixed block order: mu first, the per-level
 pairs (innermost level first), zeros last.  The eigenvector and
 singular-vector matrices are Kronecker products of order-3 factors
 (outermost factor on the left), with their columns taken in that order.
-The exact factor rows form each distinct product of order-3 entries once, in a
-per-level value table indexed by the digit walk that builds the squares
-(construct._block_sum).  The float residuals never form an exact product: they
-apply the Kronecker structure to the order-3 float blocks by mode products over
-base-3 digits, with no gemm and no BLAS call, so their bits do not depend on
-the BLAS thread count.  S D and U Sigma are formed in their 2l+1 nonzero
-columns only.
+jcf_matrices returns (S, D) and svd_matrices (U, sigma, V), in the order of
+M S = S D and M = U diag(sigma) V^T; their exact rows form each distinct
+product of order-3 entries once, in a per-level value table indexed by the
+digit walk that builds the squares (construct._block_sum).  The float
+residuals never form an exact product: they apply the Kronecker structure to
+the order-3 float blocks by mode products over base-3 digits, with no gemm and
+no BLAS call, so their bits do not depend on the BLAS thread count.  S D and
+U Sigma are formed in their 2l+1 nonzero columns only.
 """
 
 from __future__ import annotations
@@ -169,42 +170,31 @@ U3 = ((_R3, -_R2, _R6), (_R3, Radical(0), -2 * _R6), (_R3, _R2, _R6))
 V3 = ((_R3, -_R6, _R2), (_R3, 2 * _R6, Radical(0)), (_R3, -_R6, -_R2))
 
 
-@dataclass(frozen=True)
-class DecompositionMatrices:
-    """One decomposition's factors; S/D for the Jordan form, U/V/sigma for
-    the SVD (the unused fields are None)."""
-
-    s: Rows | None = None
-    d: tuple[Radical, ...] | None = None
-    u: Rows | None = None
-    v: Rows | None = None
-    sigma: tuple[Radical, ...] | None = None
-
-
-def jcf_matrices(triples) -> DecompositionMatrices:
-    """Eigenvector matrix S and eigenvalue diagonal D with M S = S D.
+def jcf_matrices(triples) -> tuple[Rows, tuple[Radical, ...]]:
+    """(S, D): the eigenvector rows S and the eigenvalue diagonal D, with
+    M S = S D.
 
     Refused (ValueError, from omega) when any level has v^2 = y^2: the
     eigenvector offset Omega is undefined there.
     """
     triples = normalize_triples(triples)
     eigs = eigenvalues(triples)
-    return DecompositionMatrices(
-        s=_rows(*_block_product(_s_blocks(triples, eigs))), d=tuple(eigs)
-    )
+    return _factor_rows(_s_blocks(triples, eigs)), tuple(eigs)
 
 
-def svd_matrices(triples) -> DecompositionMatrices:
-    """Orthogonal U, V and nonnegative diagonal sigma with U diag(sigma) V^T = M.
+def svd_matrices(triples) -> tuple[Rows, tuple[Radical, ...], Rows]:
+    """(U, sigma, V): orthogonal rows U, V and the nonnegative diagonal sigma,
+    with M = U diag(sigma) V^T.
 
     The U column of each negative closed-form value (mu, 3^(l-1) phi_i or
     3^(l-1) psi_i) is negated, so sigma holds their absolute values.
     """
     triples = normalize_triples(triples)
-    return DecompositionMatrices(
-        u=_rows(*_block_product([U3] * len(triples)), _negated_columns(triples)),
-        v=_rows(*_block_product([V3] * len(triples))),
-        sigma=tuple(singular_values(triples)),
+    level = len(triples)
+    return (
+        _factor_rows([U3] * level, _negated_columns(triples)),
+        tuple(singular_values(triples)),
+        _factor_rows([V3] * level),
     )
 
 
@@ -215,18 +205,18 @@ def _negated_columns(triples) -> list[int]:
     return [p for p, w in enumerate(signed) if w < 0]
 
 
-def _block_product(blocks) -> tuple[list, list[list[int]]]:
-    """A value table and the rows of table indices of the matrix whose entry
-    (i, p) is the product over k of blocks[k][d_k(i)][d_k(j)], j the Kronecker
-    column of block-order slot p, with d_k the k-th base-3 digit (blocks[0]
-    the least significant).
+def _factor_rows(blocks, negated=()) -> Rows:
+    """The rows of the Kronecker product of the blocks, outermost on the left,
+    with its columns in block order and negated in the block-order slots in
+    negated: entry (i, p) is the product over k of blocks[k][d_k(i)][d_k(j)],
+    j the Kronecker column of slot p, with d_k the k-th base-3 digit
+    (blocks[0] the least significant).
 
-    This is the Kronecker product of the blocks, outermost on the left, with
-    its columns in block order.  Level k extends the table by its block's
-    distinct values, so construct._block_sum writes each entry's index: sum
-    over k of value index * prior table size.  The table starts from the
-    integer 1, so its entries have the blocks' own scalar type: Radical
-    products cost one gcd and are never boxed as sums.
+    Each distinct product is formed once, in a value table that level k
+    extends by its block's distinct values, so construct._block_sum writes
+    each entry's table index: sum over k of value index * prior table size.
+    The table starts from the integer 1, so its entries have the blocks' own
+    scalar type: Radical products cost one gcd and are never boxed as sums.
     """
     table = [1]
     index_blocks = []
@@ -238,23 +228,18 @@ def _block_product(blocks) -> tuple[list, list[list[int]]]:
         table = [t * x for x in index for t in table]
     head = _head_columns(len(blocks))
     pick = itemgetter(*head, *(j for j in range(3 ** len(blocks)) if j not in head))
-    return table, [list(pick(r)) for r in _block_sum(index_blocks).rows]
+    rows = []
+    for row in _block_sum(index_blocks).rows:
+        r = [table[k] for k in pick(row)]
+        for p in negated:
+            r[p] = -r[p]
+        rows.append(tuple(r))
+    return tuple(rows)
 
 
 def _head_columns(level: int) -> list[int]:
     """The Kronecker columns of the block-order slots of mu and the level pairs."""
     return [0] + [j * 3 ** k for k in range(level) for j in (1, 2)]
-
-
-def _rows(table, index, negated=()) -> Rows:
-    """The exact rows: table[k] per entry, negated in the columns in negated."""
-    rows = []
-    for row in index:
-        r = [table[k] for k in row]
-        for p in negated:
-            r[p] = -r[p]
-        rows.append(tuple(r))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +335,12 @@ def _relative_norm(x, a) -> float | None:
     return r if math.isfinite(r) else None
 
 
-def jcf_residual(triples) -> float | None:
-    """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0), for
-    M = lucas(triples), from the order-3 blocks of S: M S by mode products,
-    less S D in its 2l+1 nonzero columns.  ValueError where jcf_matrices
-    refuses; None when M, D or an S block is past float range."""
-    triples = normalize_triples(triples)
-    return _jcf_residual(triples, _float_square(triples), eigenvalues(triples))
-
-
 def _jcf_residual(triples, square, eigs) -> float | None:
+    """|| M S - S D ||_F / || M ||_F in floating point (absolute for M = 0),
+    for square = _float_square(triples) and eigs its eigenvalues, from the
+    order-3 blocks of S: M S by mode products, less S D in its 2l+1 nonzero
+    columns.  ValueError where jcf_matrices refuses; None when M, D or an S
+    block is past float range."""
     import numpy as np
 
     exact = _s_blocks(triples, eigs)  # ValueError first, as in jcf_matrices
@@ -377,16 +358,12 @@ def _jcf_residual(triples, square, eigs) -> float | None:
         return _relative_norm(ms, a)
 
 
-def svd_residual(triples) -> float | None:
-    """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for M = 0),
-    for M = lucas(triples): U Sigma in its 2l+1 nonzero columns from U3 and
-    Sigma (the negated U columns as negated Sigma entries), and (U Sigma) V^T
-    by mode products with V3^T.  None when M or Sigma is past float range."""
-    triples = normalize_triples(triples)
-    return _svd_residual(triples, _float_square(triples), singular_values(triples))
-
-
 def _svd_residual(triples, square, sigma) -> float | None:
+    """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for
+    M = 0), for square = _float_square(triples) and sigma its singular values:
+    U Sigma in its 2l+1 nonzero columns from U3 and Sigma (the negated U
+    columns as negated Sigma entries), and (U Sigma) V^T by mode products
+    with V3^T.  None when M or Sigma is past float range."""
     import numpy as np
 
     if square is None:

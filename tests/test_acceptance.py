@@ -35,13 +35,12 @@ from lucasmagic.enumeration import (
 )
 from lucasmagic.exactmat import SquareMatrix, commutator
 from lucasmagic.spectra import (
-    jcf_residual,
     lucas3_inverse,
     matrix_power,
     rank,
     singular_values,
+    spectrum_report,
     svd_matrices,
-    svd_residual,
 )
 from lucasmagic.verify import (
     check_fnc,
@@ -173,19 +172,17 @@ def test_criterion_05_norm_condition_solutions():
 def test_criterion_06_decomposition_residuals():
     worst_jcf = worst_svd = worst_orth = 0.0
     for rep in enumerate_fundamental(2).representatives:
-        sd = svd_matrices(rep)
-        worst_jcf = max(worst_jcf, jcf_residual(rep))
-        worst_svd = max(worst_svd, svd_residual(rep))
-        worst_orth = max(
-            worst_orth, orthonormality_residual(sd.u), orthonormality_residual(sd.v)
-        )
+        u, _, v = svd_matrices(rep)
+        report = spectrum_report(rep)
+        worst_jcf = max(worst_jcf, report.jcf_residual)
+        worst_svd = max(worst_svd, report.svd_residual)
+        worst_orth = max(worst_orth, orthonormality_residual(u), orthonormality_residual(v))
     spot = ((4, 3, 1), (36, 27, 9), (324, 243, 81))
-    worst_jcf = max(worst_jcf, jcf_residual(spot))
-    sd = svd_matrices(spot)
-    worst_svd = max(worst_svd, svd_residual(spot))
-    worst_orth = max(
-        worst_orth, orthonormality_residual(sd.u), orthonormality_residual(sd.v)
-    )
+    report = spectrum_report(spot)
+    worst_jcf = max(worst_jcf, report.jcf_residual)
+    u, _, v = svd_matrices(spot)
+    worst_svd = max(worst_svd, report.svd_residual)
+    worst_orth = max(worst_orth, orthonormality_residual(u), orthonormality_residual(v))
     assert worst_jcf < 1e-9
     assert worst_svd < 1e-9
     assert worst_orth < 1e-9

@@ -7,7 +7,7 @@ import pytest
 import lucasmagic
 
 PUBLIC_NAMES = [
-    "CensusRow", "CommutingPairReport", "DecompositionMatrices", "EnumerationResult",
+    "CensusRow", "CommutingPairReport", "EnumerationResult",
     "FRIERSON9_SETS", "PHASE_NAMES", "Radical", "RadicalSum", "SpectrumReport",
     "SquareMatrix", "VerificationReport", "apply_phase", "build_commuting_lucas_pair",
     "canonical_parameters", "canonical_phase", "census", "check_fnc", "check_magic",

@@ -301,6 +301,13 @@ def test_radical_sum_embeds_scalars():
     assert RadicalSum(Radical(1, 2)) - Radical(1, 2) == RadicalSum()
 
 
+def test_radical_sum_of_a_radical_sum_is_itself():
+    s = RadicalSum([Radical(3), Radical(-2, 5), Radical(Fraction(1, 2), 6)])
+    assert RadicalSum(s) == s
+    assert RadicalSum(s).terms() == s.terms()
+    assert RadicalSum(RadicalSum()).is_zero()
+
+
 def test_scalar_operand_is_wrapped_not_rebuilt(monkeypatch):
     a, b = RadicalSum(1), Radical(1, 3)
     init, calls = RadicalSum.__init__, []

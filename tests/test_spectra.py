@@ -16,7 +16,6 @@ from lucasmagic.spectra import (
     V3,
     eigenvalues,
     jcf_matrices,
-    jcf_residual,
     lucas3_inverse,
     matrix_power,
     matrix_power_digits,
@@ -25,7 +24,6 @@ from lucasmagic.spectra import (
     singular_values,
     spectrum_report,
     svd_matrices,
-    svd_residual,
     table1_row,
 )
 
@@ -124,11 +122,11 @@ def test_spectral_frobenius_identity():
 
 
 def test_jcf_exact():
-    dec = jcf_matrices([(4, 3, 1)])
+    s, d = jcf_matrices([(4, 3, 1)])
     m = lucas3(4, 3, 1)
-    lhs = _rad_matmul(_rad_rows(m.rows), dec.s)
+    lhs = _rad_matmul(_rad_rows(m.rows), s)
     rhs = _rad_matmul(
-        dec.s, _rad_rows([[dec.d[j] if i == j else 0 for j in range(3)] for i in range(3)])
+        s, _rad_rows([[d[j] if i == j else 0 for j in range(3)] for i in range(3)])
     )
     assert lhs == rhs
 
@@ -144,21 +142,50 @@ def test_jcf_refuses_degenerate_levels():
 
 def test_jcf_residuals():
     for triples in [((4, 3, 1),), ((4, 1, 3),), A_SET, ((4, 1, 3), (36, 9, 27))]:
-        assert jcf_residual(triples) < 1e-12
+        assert spectrum_report(triples).jcf_residual < 1e-12
 
 
 def test_svd_residuals_and_orthonormality():
     for triples in [((4, 3, 1),), A_SET, ((4, 3, 1), (36, 27, 9), (324, 243, 81))]:
-        dec = svd_matrices(triples)
-        assert svd_residual(triples) < 1e-12
-        assert orthonormality_residual(dec.u) < 1e-12
-        assert orthonormality_residual(dec.v) < 1e-12
-        assert all(s.is_zero() or s.coeff > 0 for s in dec.sigma)
+        u, sigma, v = svd_matrices(triples)
+        assert spectrum_report(triples).svd_residual < 1e-12
+        assert orthonormality_residual(u) < 1e-12
+        assert orthonormality_residual(v) < 1e-12
+        assert all(s.is_zero() or s.coeff > 0 for s in sigma)
 
 
 def test_svd_diagonal_matches_closed_form():
-    dec = svd_matrices(A_SET)
-    assert sorted(dec.sigma) == sorted(singular_values(A_SET))
+    _, sigma, _ = svd_matrices(A_SET)
+    assert sorted(sigma) == sorted(singular_values(A_SET))
+
+
+# Levels 1 and 2 only: a level-3 product of the exact rows takes ~20x longer
+EXACT_IDENTITY_CASES = [
+    ((4, 3, 1),),
+    ((4, 1, 3),),  # an imaginary pair
+    ((-5, -3, 1),),  # negative mu, v + y and v - y
+    A_SET,
+    ((4, 1, 3), (36, 9, 27)),  # imaginary pairs at both levels
+    ((-7, 2, -5), (3, -4, 1)),  # negative mu and v +- y, an imaginary inner pair
+]
+
+
+@pytest.mark.parametrize("triples", EXACT_IDENTITY_CASES)
+def test_jcf_identity_holds_exactly(triples):
+    s, d = jcf_matrices(triples)
+    m = _rad_rows(lucas(triples).rows)
+    assert _rad_matmul(m, s) == _rad_rows(_scale_columns(s, d))
+
+
+@pytest.mark.parametrize("triples", EXACT_IDENTITY_CASES + [
+    ((0, 0, 0),),  # zero squares
+    ((0, 0, 0), (0, 0, 0)),
+    ((1, 2, 2), (3, 1, -1)),  # v = +-y: zero singular values, no S
+])
+def test_svd_identity_holds_exactly(triples):
+    u, sigma, v = svd_matrices(triples)
+    usv = _rad_matmul(_scale_columns(u, sigma), tuple(zip(*v)))
+    assert usv == _rad_rows(lucas(triples).rows)
 
 
 def test_rank_counts():
@@ -259,7 +286,7 @@ def test_commuting_pair_shares_eigenvectors():
     p = frierson_to_lucas(((1, 3), (27, 9)))
     q = frierson_to_lucas(((9, 27), (3, 1)))
     assert commutator(lucas(p), lucas(q)) == SquareMatrix.zero(9)
-    assert jcf_matrices(p).s == jcf_matrices(q).s
+    assert jcf_matrices(p)[0] == jcf_matrices(q)[0]
 
 
 def test_rad_kron_matches_matrix_kron():
@@ -394,10 +421,10 @@ def test_factors_match_the_kron_chain(level):
             with pytest.raises(ValueError):
                 jcf_matrices(triples)
         else:
-            assert jcf_matrices(triples).s == s
-        dec = svd_matrices(triples)
-        assert dec.u == u
-        assert dec.v == v
+            assert jcf_matrices(triples)[0] == s
+        got_u, _, got_v = svd_matrices(triples)
+        assert got_u == u
+        assert got_v == v
 
 
 def test_spectrum_report_splits_a_few_radicands_per_level(monkeypatch):
@@ -436,7 +463,8 @@ def test_spectrum_report_forms_each_factor_product_once(monkeypatch):
 
 
 # The residuals with each diagonal as a dense matrix, multiplied in O(n^3),
-# over the exact factor rows: the oracle for jcf_residual and svd_residual,
+# over the exact factor rows: the oracle for the report's jcf_residual and
+# svd_residual,
 # which work from the order-3 float blocks by Kronecker chains and mode products.
 
 
@@ -444,18 +472,18 @@ def _dense_array(rows):
     return np.array([[complex(x) for x in row] for row in rows], dtype=complex)
 
 
-def dense_jcf_residual(m, dec):
+def dense_jcf_residual(m, s, d):
     a = np.array(m.to_lists(), dtype=float)
-    s = _dense_array(dec.s)
-    d = np.diag([complex(r) for r in dec.d])
+    s = _dense_array(s)
+    d = np.diag([complex(r) for r in d])
     return float(np.linalg.norm(a @ s - s @ d) / (np.linalg.norm(a) or 1.0))
 
 
-def dense_svd_residual(m, dec):
+def dense_svd_residual(m, u, sigma, v):
     a = np.array(m.to_lists(), dtype=float)
-    u = _dense_array(dec.u).real
-    v = _dense_array(dec.v).real
-    sig = np.diag([complex(r) for r in dec.sigma]).real
+    u = _dense_array(u).real
+    v = _dense_array(v).real
+    sig = np.diag([complex(r) for r in sigma]).real
     return float(np.linalg.norm(u @ sig @ v.T - a) / (np.linalg.norm(a) or 1.0))
 
 
@@ -480,12 +508,14 @@ def test_residuals_match_the_dense_diagonals(triples):
     # columns are negated, all come up among these; both roundings of the
     # exact zero are tiny, and near each other
     m = lucas(triples)
-    pairs = [(svd_residual(triples), dense_svd_residual(m, svd_matrices(triples)))]
+    report = spectrum_report(triples)
+    pairs = [(report.svd_residual, dense_svd_residual(m, *svd_matrices(triples)))]
     if all(v * v != y * y for _, v, y in triples):
-        pairs.append((jcf_residual(triples), dense_jcf_residual(m, jcf_matrices(triples))))
+        pairs.append((report.jcf_residual, dense_jcf_residual(m, *jcf_matrices(triples))))
     else:
+        square, eigs = spectra._float_square(triples), eigenvalues(triples)
         with pytest.raises(ValueError, match="degenerate level"):
-            jcf_residual(triples)
+            spectra._jcf_residual(triples, square, eigs)
     for got, dense in pairs:
         assert got < 1e-12 and dense < 1e-12
         assert abs(got - dense) < 1e-13
@@ -570,13 +600,14 @@ def test_residuals_equal_the_kron_chain_bit_for_bit(triples):
     except FloatingPointError:
         return
     report = spectrum_report(triples)
-    assert _hex(svd_residual(triples)) == _hex(report.svd_residual) == _hex(want_svd)
+    svd = spectra._svd_residual(triples, square, sigma)
+    assert _hex(svd) == _hex(report.svd_residual) == _hex(want_svd)
     assert _hex(report.jcf_residual) == _hex(want_jcf)
     if refused:
         with pytest.raises(ValueError, match="degenerate level"):
-            jcf_residual(triples)
+            spectra._jcf_residual(triples, square, eigs)
     else:
-        assert _hex(jcf_residual(triples)) == _hex(want_jcf)
+        assert _hex(spectra._jcf_residual(triples, square, eigs)) == _hex(want_jcf)
 
 
 NATURAL_FRIERSON6 = ((1, 3), (9, 27), (81, 243), (729, 2187), (6561, 19683), (59049, 177147))
@@ -650,7 +681,9 @@ def test_negated_u_columns_convert_no_extra_values(monkeypatch):
     factor_ids = {id(x) for row in U3 + V3 for x in row}
     for level in (1, 3, 5):
         calls.clear()
-        assert svd_residual(negative[:level]) < 1e-12
+        triples = negative[:level]
+        square, sigma = spectra._float_square(triples), singular_values(triples)
+        assert spectra._svd_residual(triples, square, sigma) < 1e-12
         factor_calls = sum(1 for r in calls if id(r) in factor_ids)
         assert factor_calls == 18
         assert len(calls) == factor_calls + 2 * level + 1
@@ -797,9 +830,9 @@ def test_spectral_values_equal_the_whole_radicand_oracle(triples):
     s = blocks[-1]
     for b in reversed(blocks[:-1]):
         s = rad_kron(s, b)
-    dec = jcf_matrices(triples)
-    assert dec.s == _permute_columns(s, _kron_columns(level))
-    assert dec.d == tuple(want)
+    got_s, got_d = jcf_matrices(triples)
+    assert got_s == _permute_columns(s, _kron_columns(level))
+    assert got_d == tuple(want)
 
 
 @pytest.mark.parametrize("v, y", [(1000038, 1), (-1000038, 1), (1, 1000038), (-1, -1000038)])
