@@ -36,10 +36,12 @@ _TABLE1_ROWS = (("A", "G"), ("D", "J"), ("B", "H"), ("E", "K"), ("C", "I"), ("F"
 
 _EXPECT_CHOICES = ("magic", "regular", "natural", "fnc")
 
+_MAX_LEVEL = 7  # of --params: order 2187, 4.8M entries (level 8 has 43M)
+
 
 def _parse_family_params(family: str | None, text: str, level=None):
-    """Parameter grammar -> level triples, with an optional level check; a
-    family of None (no --family given) reads as lucas."""
+    """Parameter grammar -> at most _MAX_LEVEL level triples, with an optional
+    level check; a family of None (no --family given) reads as lucas."""
     if family == "frierson":
         pairs = parse_frierson_params(text)
         if not frierson_well_formed(pairs):
@@ -55,6 +57,8 @@ def _parse_family_params(family: str | None, text: str, level=None):
         raise ValueError(
             f"--level {level} disagrees with {len(triples)} parameter group(s)"
         )
+    if len(triples) > _MAX_LEVEL:
+        raise ValueError(f"{len(triples)} levels given; at most {_MAX_LEVEL} are built")
     return triples
 
 

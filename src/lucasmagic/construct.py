@@ -27,6 +27,8 @@ and row/column reversals; one table holds both actions.
 
 from __future__ import annotations
 
+from operator import index
+
 from .exactmat import SquareMatrix, kron
 
 Triple = tuple[int, int, int]
@@ -104,8 +106,7 @@ def frierson(pairs) -> SquareMatrix:
 
 
 def frierson_to_lucas(pairs) -> tuple[Triple, ...]:
-    pairs = normalize_pairs(pairs)
-    return tuple((v + y, v, y) for v, y in pairs)
+    return tuple((v + y, v, y) for v, y in normalize_pairs(pairs))
 
 
 def frierson_well_formed(pairs) -> bool:
@@ -118,14 +119,16 @@ def frierson_well_formed(pairs) -> bool:
 
 
 def normalize_triples(triples) -> tuple[Triple, ...]:
-    out = tuple((int(c), int(v), int(y)) for c, v, y in triples)
+    """The triples as a tuple of int triples; TypeError for a non-integer."""
+    out = tuple((index(c), index(v), index(y)) for c, v, y in triples)
     if not out:
         raise ValueError("at least one (c, v, y) triple is required")
     return out
 
 
 def normalize_pairs(pairs) -> tuple[Pair, ...]:
-    out = tuple((int(v), int(y)) for v, y in pairs)
+    """The pairs as a tuple of int pairs; TypeError for a non-integer."""
+    out = tuple((index(v), index(y)) for v, y in pairs)
     if not out:
         raise ValueError("at least one (v, y) pair is required")
     if any(v < 0 or y < 0 for v, y in out):
@@ -135,20 +138,25 @@ def normalize_pairs(pairs) -> tuple[Pair, ...]:
 
 def magic_index(triples) -> int:
     """The line sum of lucas(triples): 3**level * sum of the c_i."""
-    triples = normalize_triples(triples)
-    return 3 ** len(triples) * sum(c for c, _, _ in triples)
+    return _sigma_coefficients(normalize_triples(triples))[0]
 
 
 def rank(triples) -> int:
-    """The rank of lucas(triples): a nonzero mu plus the nonzero v +- y.
+    """The rank of lucas(triples): its nonzero _sigma_coefficients.  The
+    square is U diag(sigma) V^T with orthogonal U and V that do not depend on
+    the parameters, so this count is exact for every parameter set."""
+    ws = _sigma_coefficients(normalize_triples(triples))
+    return len(ws) - ws.count(0)
 
-    The square is U diag(sigma) V^T with orthogonal U and V that do not
-    depend on the parameters, and its nonzero singular values are |mu| and
-    3^(l-1)|v_i +- y_i|sqrt(3), so this count is exact for every parameter set.
-    """
-    triples = normalize_triples(triples)
-    pairs = sum((v + y != 0) + (v - y != 0) for _, v, y in triples)
-    return (magic_index(triples) != 0) + pairs
+
+def _sigma_coefficients(triples) -> list[int]:
+    """The signed singular values of lucas(triples) over their radicals, for
+    normalized triples, in block order: mu, then 3^(l-1)(v_i + y_i) and
+    3^(l-1)(v_i - y_i) per level.  sigma is |mu|, each further |w| sqrt(3) and
+    zeros; U negates the columns of the negative ones."""
+    scale = 3 ** (len(triples) - 1)
+    return [3 * scale * sum(c for c, _, _ in triples),
+            *(scale * w for _, v, y in triples for w in (v + y, v - y))]
 
 
 # ---------------------------------------------------------------------------

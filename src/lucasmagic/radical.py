@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 
 _TRIAL_LIMIT = 1000
@@ -202,13 +203,15 @@ class Radical:
     """coeff * sqrt(radicand), normalized so the radicand is squarefree.
 
     The canonical zero is Radical(0, 0).  radicand == 1 means the value is
-    rational; radicand == -1 means coeff * i.
+    rational; radicand == -1 means coeff * i.  The radicand must be an
+    integer (TypeError otherwise).
     """
 
     __slots__ = ("coeff", "radicand")
 
     def __init__(self, coeff, radicand: int = 1):
         coeff = Fraction(coeff)
+        radicand = index(radicand)
         if coeff == 0 or radicand == 0:
             object.__setattr__(self, "coeff", Fraction(0))
             object.__setattr__(self, "radicand", 0)
@@ -324,10 +327,11 @@ class Radical:
         return self.coeff == other.coeff and self.radicand == other.radicand
 
     def __hash__(self):
-        # the integer parts of the coefficient: hashing the Fraction itself
-        # takes a modular inverse of the denominator on every call
-        c = self.coeff
-        return hash((c.numerator, c.denominator, self.radicand))
+        # a rational value (radicand 1 or 0) hashes as the int or Fraction it equals
+        c, d = self.coeff, self.radicand
+        if d > 1 or d < 0:
+            return hash((c.numerator, c.denominator, d))
+        return hash(c.numerator) if c.denominator == 1 else hash(c)
 
     def _require_real(self):
         if not self.is_real():
@@ -490,7 +494,8 @@ class RadicalSum:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        t = self._terms  # a one-term sum equals its term, the empty sum 0
+        return hash(t) if len(t) > 1 else hash(t[0]) if t else 0
 
     def __complex__(self) -> complex:
         return sum((complex(t) for t in self._terms), complex(0))

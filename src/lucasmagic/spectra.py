@@ -33,11 +33,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import TYPE_CHECKING
 
 from . import radical
-from .construct import _block_sum, normalize_triples, lucas, lucas3, magic_index, rank
+from .construct import (_block_sum, _sigma_coefficients, normalize_triples, lucas, lucas3,
+                        magic_index, rank)
 from .exactmat import SquareMatrix
 from .radical import Radical, RadicalSum
 
@@ -99,11 +100,6 @@ def _block_diagonal(mu: Radical, pairs, level: int) -> list[Radical]:
     return [mu, *pairs] + [_ZERO] * (3 ** level - 1 - len(pairs))
 
 
-def _phi_psi_coeffs(triples) -> list[int]:
-    """v+y and v-y for each level: phi and psi over sqrt(3), signed."""
-    return [w for _, v, y in triples for w in (v + y, v - y)]
-
-
 def eigenvalues(triples) -> list[Radical]:
     """All 3**level eigenvalues: mu, +-3^(l-1)lambda_i per level, zeros."""
     triples = normalize_triples(triples)
@@ -117,17 +113,14 @@ def eigenvalues(triples) -> list[Radical]:
 
 
 def singular_values(triples) -> list[Radical]:
-    """All 3**level singular values in the same block order, nonnegative."""
-    triples = normalize_triples(triples)
-    scale = 3 ** (len(triples) - 1)
-    mu = abs(magic_index(triples))
+    """All 3**level singular values in the same block order, nonnegative:
+    |mu|, then |w| sqrt(3) for each further construct._sigma_coefficients
+    entry w, then zeros."""
+    mu, *ws = _sigma_coefficients(normalize_triples(triples))
     # 1 and 3 are squarefree, so each nonzero value is canonical as built: no split
-    pairs = [
-        Radical._canonical(Fraction(scale * abs(w)), 3) if w else _ZERO
-        for w in _phi_psi_coeffs(triples)
-    ]
-    top = Radical._canonical(Fraction(mu), 1) if mu else _ZERO
-    return _block_diagonal(top, pairs, len(triples))
+    top = Radical._canonical(Fraction(abs(mu)), 1) if mu else _ZERO
+    pairs = [Radical._canonical(Fraction(abs(w)), 3) if w else _ZERO for w in ws]
+    return _block_diagonal(top, pairs, len(ws) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +179,17 @@ def svd_matrices(triples) -> tuple[Rows, tuple[Radical, ...], Rows]:
     """(U, sigma, V): orthogonal rows U, V and the nonnegative diagonal sigma,
     with M = U diag(sigma) V^T.
 
-    The U column of each negative closed-form value (mu, 3^(l-1) phi_i or
-    3^(l-1) psi_i) is negated, so sigma holds their absolute values.
+    The U column of each negative construct._sigma_coefficients entry is
+    negated, so sigma holds their absolute values.
     """
     triples = normalize_triples(triples)
     level = len(triples)
+    negated = [p for p, w in enumerate(_sigma_coefficients(triples)) if w < 0]
     return (
-        _factor_rows([U3] * level, _negated_columns(triples)),
+        _factor_rows([U3] * level, negated),
         tuple(singular_values(triples)),
         _factor_rows([V3] * level),
     )
-
-
-def _negated_columns(triples) -> list[int]:
-    """The block-order slots of the negative closed-form values: mu, then
-    3^(l-1) phi_i and 3^(l-1) psi_i per level."""
-    signed = [magic_index(triples), *_phi_psi_coeffs(triples)]
-    return [p for p, w in enumerate(signed) if w < 0]
 
 
 def _factor_rows(blocks, negated=()) -> Rows:
@@ -361,17 +348,16 @@ def _jcf_residual(triples, square, eigs) -> float | None:
 def _svd_residual(triples, square, sigma) -> float | None:
     """|| U Sigma V^T - M ||_F / || M ||_F in floating point (absolute for
     M = 0), for square = _float_square(triples) and sigma its singular values:
-    U Sigma in its 2l+1 nonzero columns from U3 and Sigma (the negated U
-    columns as negated Sigma entries), and (U Sigma) V^T by mode products
-    with V3^T.  None when M or Sigma is past float range."""
+    U Sigma in its 2l+1 nonzero columns from U3 and Sigma signed as the
+    _sigma_coefficients (U's negated columns), and (U Sigma) V^T by mode
+    products with V3^T.  None when M or Sigma is past float range."""
     import numpy as np
 
     if square is None:
         return None
     a, scale = square
     level = len(triples)
-    negated = set(_negated_columns(triples))
-    signed = [-r if p in negated else r for p, r in enumerate(sigma[: 2 * level + 1])]
+    signed = [-r if w < 0 else r for w, r in zip(_sigma_coefficients(triples), sigma)]
     with np.errstate(all="ignore"):
         try:
             head = _head_products([_float_block(U3).real] * level, signed, scale)
@@ -469,66 +455,61 @@ def _spectral_row(level: int, eigs, sigma) -> tuple[list[str], list[int]]:
 _THREE_I_MINUS_E = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
 
 
-def matrix_power(triples, k: int) -> SquareMatrix:
-    """The k-th power of lucas(triples), in closed form at every level.
+def _power_terms(triples, k: int):
+    """M^k's terms, M = lucas(triples): (base, p, e, rows) for the term
+    base^p 3^e rows at each level's base-3 digit, then the constant's, whose
+    all-ones rows at digit 0 add it to every entry.
 
     A level-l square is C E + sum_i N_i placed at base-3 digit i (E-blocks
     at the other digits), with C the total of the c_i, E all-ones and
     N_i = lucas3(0, v_i, y_i).  N E = E N = 0 kills every cross term, so
     M^k = C^k 3^(l(k-1)) E + sum_i 3^((k-1)(l-1)) N_i^k at digit i, where
     N^k = (3d)^((k-1)/2) N for odd k and 3^(k/2-1) d^(k/2) (3I - E) for even
-    k, d = v^2 - y^2.  The constant rides on the innermost block.  A factor
-    that is zero (C = 0, or d = 0 with k >= 2) is found before any power of
-    3 is taken, so zero terms cost nothing at any k.
+    k, d = v^2 - y^2.  TypeError for a non-integer k, ValueError for k < 1.
     """
     triples = normalize_triples(triples)
+    k = index(k)
     if k < 1:
         raise ValueError("power must be a positive integer")
     level = len(triples)
+    return [
+        *((v * v - y * y, k // 2, (k - 1) * (level - 1) + (k - 1) // 2,
+           lucas3(0, v, y).rows if k % 2 else _THREE_I_MINUS_E) for _, v, y in triples),
+        (sum(c for c, _, _ in triples), k, level * (k - 1), ((1, 1, 1),) * 3),
+    ]
+
+
+def matrix_power(triples, k: int) -> SquareMatrix:
+    """The k-th power of lucas(triples): its _power_terms summed, in closed
+    form at every level.  A zero base^p (C = 0, or d = 0 with k >= 2) skips
+    the power of 3, so zero terms cost nothing at any k."""
     blocks = []
-    for _, v, y in triples:
-        f = (v * v - y * y) ** (k // 2)  # zero factors skip the power of 3
-        if f:
-            f *= 3 ** ((k - 1) * (level - 1) + (k - 1) // 2)
-        base = lucas3(0, v, y).rows if k % 2 else _THREE_I_MINUS_E
-        blocks.append([[f * x for x in row] for row in base])
-    const = sum(c for c, _, _ in triples) ** k
-    if const:
-        const *= 3 ** (level * (k - 1))
-    blocks[0] = [[x + const for x in row] for row in blocks[0]]
+    for base, p, e, rows in _power_terms(triples, k):
+        f = base ** p
+        f = f and f * 3 ** e  # a zero factor skips the power of 3
+        blocks.append([[f * x for x in row] for row in rows])
+    const = blocks.pop()
+    blocks[0] = [[x + z for x, z in zip(r, c)] for r, c in zip(blocks[0], const)]
     return _block_sum(blocks)
 
 
 def matrix_power_digits(triples, k: int) -> float:
-    """Decimal digits of the largest closed-form term of matrix_power(triples, k),
-    from logarithms: no power is formed, so this is cheap at any k.
+    """Decimal digits of the largest of matrix_power's _power_terms, from
+    logarithms: no power is formed, so this is cheap at any k.
 
-    The terms are, per level, d^(k//2) 3^((k-1)(l-1) + (k-1)//2) times the
-    level block's largest entry (|v|+|y| for odd k, 2 for even k), and the
-    constant C^k 3^(l(k-1)).  A zero term counts as zero digits.  Every entry
-    of M^k is a signed sum of one term per level plus the constant, and some
-    entry is at least three quarters of the largest term, so M^k has an entry
-    of at least this many digits minus one.  inf when k is too large for a float.
-    """
-    triples = normalize_triples(triples)
-    if k < 1:
-        raise ValueError("power must be a positive integer")
-    level = len(triples)
+    A term is |base|^p 3^e times its rows' largest |entry| (|v|+|y| for odd
+    k, 2 for even k, 1 for the constant); a zero term has zero digits.  Every
+    entry of M^k is a signed sum of one term per level plus the constant, and
+    some entry is at least three quarters of the largest term, so M^k has an
+    entry of at least this many digits minus one.  inf when k is too large
+    for a float."""
     log3 = math.log10(3)
     logs = []
     try:
-        for _, v, y in triples:
-            d = v * v - y * y
-            top = abs(v) + abs(y) if k % 2 else 2
-            if top and (d or k == 1):
-                logs.append(
-                    (k // 2) * math.log10(abs(d) or 1)
-                    + ((k - 1) * (level - 1) + (k - 1) // 2) * log3
-                    + math.log10(top)
-                )
-        const = sum(c for c, _, _ in triples)
-        if const:
-            logs.append(k * math.log10(abs(const)) + level * (k - 1) * log3)
+        for base, p, e, rows in _power_terms(triples, k):
+            top = max(abs(x) for row in rows for x in row)
+            if top and (base or not p):
+                logs.append(p * math.log10(abs(base) or 1) + e * log3 + math.log10(top))
         return max((math.floor(x) + 1 for x in logs), default=0)
     except OverflowError:
         return math.inf

@@ -439,6 +439,36 @@ def test_power_refuses_huge_entries_up_front():
     assert "Traceback" not in proc.stderr
 
 
+LEVEL7 = "1,3;9,27;81,243;729,2187;6561,19683;59049,177147;531441,1594323"
+
+
+class _Built(Exception):
+    pass
+
+
+@pytest.fixture
+def no_square_built(monkeypatch):
+    # a call that reaches construction raises _Built instead of building
+    from lucasmagic import construct, spectra
+
+    def refuse(blocks):
+        raise _Built
+
+    monkeypatch.setattr(construct, "_block_sum", refuse)
+    monkeypatch.setattr(spectra, "_block_sum", refuse)
+
+
+@pytest.mark.parametrize("command", [("generate",), ("power", "-k", "2"), ("spectra",)])
+def test_more_than_seven_levels_are_refused_before_building(capsys, no_square_built, command):
+    for family, params in (("frierson", LEVEL7 + ";1,1"), ("lucas", ";".join(["4,3,1"] * 8))):
+        rc, out, err = run(capsys, *command, "--family", family, "--params", params)
+        assert rc == 2 and out == ""
+        assert err == "error: 8 levels given; at most 7 are built\n"
+    # level 7 is allowed: it gets as far as construction
+    with pytest.raises(_Built):
+        main([*command, "--family", "frierson", "--params", LEVEL7])
+
+
 def test_power_of_vanishing_terms_at_a_huge_exponent():
     proc = _run_module("power", "--params", "0,1,1;0,2,-2", "-k", "1000000000", timeout=5)
     assert proc.returncode == 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,6 +27,7 @@ from lucasmagic.construct import (
     parse_frierson_params,
     parse_lucas_params,
     phase_parameters,
+    rank,
 )
 from lucasmagic.exactmat import SquareMatrix, kron
 from lucasmagic.verify import check_magic, check_natural, check_regular
@@ -113,6 +115,19 @@ def test_frierson_conversion():
 def test_frierson_well_formed():
     assert frierson_well_formed(((3, 1), (27, 9)))
     assert not frierson_well_formed(((0, 1),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lucas([(1.5, 2, 3)]),  # built c = 1
+    lambda: lucas([(Fraction(1, 2), 2, 3)]),  # built c = 0
+    lambda: frierson([(0.5, 1)]),  # built v = 0
+    lambda: magic_index([(4, 3, 1), (36.0, 27, 9)]),
+    lambda: rank([(4, 3, 1.0)]),
+    lambda: frierson_well_formed([(3, "1")]),
+])
+def test_parameters_must_be_integers(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_eight_phases_match_parameter_action():

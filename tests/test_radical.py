@@ -388,5 +388,45 @@ def test_equal_radicals_hash_equal_by_every_route(a, d, k):
     ]
     for r in routes:
         assert r == want and hash(r) == hash(want)
-    # the hash reads the coefficient's integer parts
-    assert hash(want) == hash((want.coeff.numerator, want.coeff.denominator, want.radicand))
+    if want.radicand in (0, 1):  # a rational value hashes as its coefficient
+        assert hash(want) == hash(want.coeff)
+    else:  # the hash reads the coefficient's integer parts
+        assert hash(want) == hash((want.coeff.numerator, want.coeff.denominator, want.radicand))
+
+
+# Values of every scalar type: canonical radicals, one- and two-term sums, and
+# the ints and Fractions they may equal.
+scalars = st.one_of(
+    st.builds(Radical, coeffs, st.sampled_from([0, 1, -1, 2, 3])),
+    st.builds(lambda a, d: RadicalSum(Radical(a, d)), coeffs, st.sampled_from([0, 1, -1, 2])),
+    st.builds(lambda a, b: RadicalSum([Radical(a), Radical(b, 2)]), coeffs, coeffs),
+    st.builds(RadicalSum),
+    st.integers(min_value=-3, max_value=3),
+    coeffs,
+)
+
+
+@given(st.lists(scalars, min_size=2, max_size=6))
+def test_values_that_compare_equal_hash_equal(values):
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+    # so a set or dict keeps one of each equal value
+    assert len(set(values)) == len({str(x) for x in values})
+
+
+def test_rational_radicals_are_found_by_their_int_or_fraction():
+    assert len({Radical(2), 2}) == 1
+    assert {Radical(2): 1}.get(2) == 1
+    assert {Fraction(1, 2): 1}.get(Radical(Fraction(1, 2))) == 1
+    assert len({Radical(0), 0, RadicalSum(), RadicalSum(0)}) == 1
+    assert len({RadicalSum(Radical(3, 2)), Radical(3, 2)}) == 1
+    assert len({RadicalSum([Radical(1), Radical(1, 2)]), Radical(1), Radical(1, 2)}) == 3
+
+
+@pytest.mark.parametrize("radicand", [2.5, 8.0, Fraction(8)])
+def test_radicand_must_be_an_integer(radicand):
+    # 2.5 was kept as a radicand and 8.0 split to Radical(2, 2.0)
+    with pytest.raises(TypeError):
+        Radical(1, radicand)

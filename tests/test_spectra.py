@@ -2,13 +2,14 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lucasmagic import radical, spectra
-from lucasmagic.construct import frierson_to_lucas, lucas, lucas3, magic_index
+from lucasmagic.construct import _sigma_coefficients, frierson_to_lucas, lucas, lucas3, magic_index
 from lucasmagic.exactmat import SquareMatrix, commutator
 from lucasmagic.radical import Radical, RadicalSum
 from lucasmagic.spectra import (
@@ -377,6 +378,17 @@ def test_matrix_power_digits_of_a_single_term(triples, k):
     assert matrix_power_digits(triples, k) == max(len(str(abs(x))) for row in entries for x in row)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: eigenvalues([(1, 2.9, 1)]),  # used v = 2
+    lambda: singular_values([(1, 2, Fraction(1, 2))]),
+    lambda: matrix_power([(4, 3, 1)], 2.0),
+    lambda: matrix_power_digits([(4, 3, 1)], 2.5),
+])
+def test_parameters_and_exponents_must_be_integers(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_matrix_power_digits_at_huge_exponents():
     assert matrix_power_digits(((4, 3, 1),), 10 ** 8) > 10 ** 7
     assert matrix_power_digits(((4, 3, 1),), 10 ** 400) == math.inf
@@ -563,8 +575,7 @@ def kron_chain_svd_residual(triples, square, sigma):
         return None
     a, scale = square
     level = len(triples)
-    negated = set(spectra._negated_columns(triples))
-    signed = [-r if p in negated else r for p, r in enumerate(sigma[: 2 * level + 1])]
+    signed = [-r if w < 0 else r for w, r in zip(_sigma_coefficients(triples), sigma)]
     try:
         sig = _kron_diagonal(signed, level, scale).real
     except OverflowError:
@@ -750,7 +761,7 @@ def test_residuals_detect_corruption(monkeypatch, level):
     triples = ((4, -3, -1), *NATURAL[1:level])
     square = spectra._float_square(triples)
     eigs, sigma = eigenvalues(triples), singular_values(triples)
-    assert spectra._negated_columns(triples)
+    assert min(_sigma_coefficients(triples)) < 0
     assert spectra._jcf_residual(triples, square, eigs) < 1e-12
     assert spectra._svd_residual(triples, square, sigma) < 1e-12
 
@@ -760,9 +771,17 @@ def test_residuals_detect_corruption(monkeypatch, level):
     bumped[0, 0] += scale  # one more in M's first entry
     assert spectra._jcf_residual(triples, (bumped, scale), eigs) > 1e-9
     assert spectra._svd_residual(triples, (bumped, scale), sigma) > 1e-9
-    negated, head = spectra._negated_columns, spectra._head_products
+    head = spectra._head_products
+
+    def first_negative_flipped(t):
+        # sigma is unchanged, and one negated U column is left unflipped
+        ws = _sigma_coefficients(t)
+        p = next(p for p, w in enumerate(ws) if w < 0)
+        ws[p] = -ws[p]
+        return ws
+
     with monkeypatch.context() as m:
-        m.setattr(spectra, "_negated_columns", lambda t: negated(t)[1:])
+        m.setattr(spectra, "_sigma_coefficients", first_negative_flipped)
         assert spectra._svd_residual(triples, square, sigma) > 1e-9
     with monkeypatch.context() as m:
         # the innermost level's first two columns, in S and U but not in M S or V

@@ -192,6 +192,8 @@ def test_recover_handles_degenerate_family_members():
 def test_recover_rejects_non_family(m5):
     assert recover_lucas_params(SquareMatrix.identity(9)) is None
     assert recover_lucas_params(m5) is None
+    # half-integer parameters: no integer triple builds this square
+    assert recover_lucas_params(lucas(((4, 3, 1),)) * Fraction(1, 2)) is None
     tweaked = lucas(((4, 1, 3), (36, 27, 9)))
     rows = [list(r) for r in tweaked.rows]
     rows[0][0] += 1
