@@ -8,8 +8,8 @@ invocations produce byte-identical bytes.
 
 Only `construct` and `exactmat`, which argument parsing and the shared
 helpers need, are imported at module level.  Each `_cmd_*` function imports
-the other layers it uses, so a call loads only its own subcommand's modules
-(`generate` loads no other).
+the other layers it uses in the branch that uses them, so a call loads only
+the modules it computes with (`generate` loads no other).
 """
 
 from __future__ import annotations
@@ -62,11 +62,9 @@ def _parse_family_params(family: str | None, text: str, level=None):
     return triples
 
 
-def _read_matrix(path: str, fmt: str = "auto") -> SquareMatrix:
+def _read_matrix(path: str) -> SquareMatrix:
     text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = "json" if text.lstrip().startswith("{") else "grid"
-    if fmt == "json":
+    if text.lstrip().startswith("{"):
         return SquareMatrix.from_json(text)
     return SquareMatrix.from_grid(text)
 
@@ -93,11 +91,6 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import verify_report
 
-    m = _read_matrix(args.matrix, args.format)
-    report = verify_report(m)
-    out = report.to_json()
-    failures = []
-
     expectations = []
     for chunk in args.expect or []:
         expectations.extend(p.strip() for p in chunk.split(",") if p.strip())
@@ -106,14 +99,15 @@ def _cmd_verify(args) -> int:
             raise ValueError(
                 f"unknown property {prop!r}; choose from {', '.join(_EXPECT_CHOICES)}"
             )
-        value = {
-            "magic": report.is_magic,
-            "regular": report.is_regular,
-            "natural": report.is_natural,
-            "fnc": report.fnc_pass,
-        }[prop]
-        if value is not True:
-            failures.append(prop)
+    report = verify_report(_read_matrix(args.matrix))
+    out = report.to_json()
+    values = {
+        "magic": report.is_magic,
+        "regular": report.is_regular,
+        "natural": report.is_natural,
+        "fnc": report.fnc_pass,
+    }
+    failures = [prop for prop in expectations if values[prop] is not True]
 
     if args.recover_params:
         if report.lucas_params is None:
@@ -144,13 +138,13 @@ def _spectral_head(level: int) -> list[str]:
 
 def _cmd_spectra(args) -> int:
     from .spectra import _spectral_row, spectrum_report
-    from .verify import recover_lucas_params
 
     if args.matrix is not None:
+        from .verify import recover_lucas_params
+
         if (args.params, args.level, args.family) != (None, None, None):
             raise ValueError("a matrix file takes no --params, --level or --family")
-        m = _read_matrix(args.matrix, "auto")
-        triples = recover_lucas_params(m)
+        triples = recover_lucas_params(_read_matrix(args.matrix))
         if triples is None:
             raise ValueError(
                 f"{args.matrix} is not a compound Lucas square; "
@@ -265,17 +259,15 @@ def _cmd_commute(args) -> int:
         return 0 if ok else 1
     if len(args.matrices) != 2:
         raise ValueError("commute needs two matrix files (or --suite fier9)")
-    a = _read_matrix(args.matrices[0], "auto")
-    b = _read_matrix(args.matrices[1], "auto")
+    a, b = map(_read_matrix, args.matrices)
     print(json.dumps(commuting_pair_report(a, b).to_json(), indent=2))
     return 0
 
 
 def _cmd_tables(args) -> int:
-    from .enumeration import census
-    from .spectra import table1_row
-
     if args.which == 1:
+        from .spectra import table1_row
+
         def cells(letter):
             r = table1_row(*FRIERSON9_SETS[letter])
             return [r["abs_lambda1"], r["abs_lambda2"], *r["sigma_over_sqrt3"]]
@@ -288,6 +280,8 @@ def _cmd_tables(args) -> int:
             rows.append([f"{first}, {second}", *row])
         _markdown(["v,y,s,t", *_spectral_head(2)], rows)
     else:
+        from .enumeration import census
+
         rows = [[f"{x:,}" for x in census(lev).to_json().values()] for lev in range(1, 7)]
         _markdown(["l", "n", "mu", "N_L", "N_F", "rank", "N_SV"], rows)
     return 0
@@ -319,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run all property checks on a matrix file")
     p.add_argument("matrix", help="matrix file (grid or json)")
-    p.add_argument("--format", choices=("auto", "grid", "json"), default="auto")
     p.add_argument(
         "--expect",
         action="append",

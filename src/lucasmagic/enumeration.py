@@ -14,18 +14,17 @@ The orbit representatives are built directly, in sorted order, by
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import permutations, product
 from math import factorial, floor, inf, isqrt, lgamma, log, log10, prod
 
 from .construct import (
     Triple,
+    _sigma_coefficients,
     canonical_parameters,
     lucas,
     normalize_triples,
 )
-from .spectra import singular_values
 from .verify import fnc_parameter_equation
 
 MATERIALIZATION_CEILING = 3
@@ -256,23 +255,28 @@ def sv_class_count(level: int, materialize: bool | None = None) -> int:
 
     For small levels (<= 3 by default) the count is double-checked by
     actually collecting the multisets over the fundamental Frierson
-    representatives; a mismatch would raise.  Each multiset is keyed by
-    its value counts, which needs no ordering of the radicals.
+    representatives, keyed by _sv_class; a mismatch would raise.
     """
     _check_level(level)
     formula = double_factorial_odd(level)
     if materialize is None:
         materialize = level <= MATERIALIZATION_CEILING
     if materialize:
-        classes = {
-            frozenset(Counter(singular_values(rep)).items())
-            for rep in fundamental_representatives(level, "frierson")
-        }
+        classes = set(map(_sv_class, fundamental_representatives(level, "frierson")))
         if len(classes) != formula:
             raise AssertionError(
                 f"materialized sv classes {len(classes)} != formula {formula}"
             )
     return formula
+
+
+def _sv_class(triples) -> tuple:
+    """(|mu|, the sorted |w|) of construct._sigma_coefficients(triples).  The
+    singular values are |mu|, |w| sqrt(3) and zeros, and at one level the zeros
+    follow from the |w|: squares of one level share this key iff their
+    singular-value multisets are equal."""
+    mu, *ws = _sigma_coefficients(triples)
+    return abs(mu), tuple(sorted(map(abs, ws)))
 
 
 @dataclass(frozen=True)

@@ -203,14 +203,15 @@ class Radical:
     """coeff * sqrt(radicand), normalized so the radicand is squarefree.
 
     The canonical zero is Radical(0, 0).  radicand == 1 means the value is
-    rational; radicand == -1 means coeff * i.  The radicand must be an
-    integer (TypeError otherwise).
+    rational; radicand == -1 means coeff * i.  The coefficient must be an
+    int or Fraction and the radicand an integer (TypeError otherwise).
     """
 
     __slots__ = ("coeff", "radicand")
 
     def __init__(self, coeff, radicand: int = 1):
-        coeff = Fraction(coeff)
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(index(coeff))
         radicand = index(radicand)
         if coeff == 0 or radicand == 0:
             object.__setattr__(self, "coeff", Fraction(0))

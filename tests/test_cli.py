@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import lucasmagic
-from lucasmagic import radical
+from lucasmagic import cli, radical
 from lucasmagic.algebra import build_commuting_lucas_pair
 from lucasmagic.cli import _refuse_unprintable, build_parser, main
 from lucasmagic.construct import frierson9, lucas, lucas3, parse_lucas_params
@@ -122,6 +122,20 @@ def test_verify_unknown_expectation(capsys):
     rc, _, err = run(capsys, "verify", M5, "--expect", "shiny")
     assert rc == 2
     assert "unknown property" in err
+
+
+def test_verify_refuses_an_unknown_property_before_reading(tmp_path, capsys, monkeypatch):
+    # a usage error, so exit 2 before the file is read: not "no such file"
+    rc, out, err = run(capsys, "verify", str(tmp_path / "missing.txt"), "--expect", "shiny")
+    assert (rc, out) == (2, "")
+    assert "unknown property 'shiny'" in err and "missing.txt" not in err
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "_read_matrix", unread)
+    rc, out, err = run(capsys, "verify", M5, "--expect", "magic,shiny")
+    assert (rc, out) == (2, "") and "unknown property 'shiny'" in err
 
 
 def test_verify_recover_params(tmp_path, capsys):
@@ -610,9 +624,7 @@ def test_params_value_may_start_with_a_minus(capsys, argv):
     assert (rc, out, err) == run(capsys, cmd, f"--params={value}", *rest)
 
 
-ENUMERATION_LAYERS = (
-    "cli", "construct", "enumeration", "exactmat", "radical", "spectra", "verify",
-)
+ENUMERATION_LAYERS = ("cli", "construct", "enumeration", "exactmat", "verify")
 
 
 @pytest.mark.parametrize(
@@ -623,15 +635,19 @@ ENUMERATION_LAYERS = (
         (["verify", "{a}"], ("cli", "construct", "exactmat", "verify")),
         (["commute", "{a}", "{b}"], ("algebra", "cli", "construct", "exactmat", "verify")),
         (["spectra", "--params=4,3,1"],
+         ("cli", "construct", "exactmat", "radical", "spectra", "numpy")),
+        (["spectra", "{a}"],
          ("cli", "construct", "exactmat", "radical", "spectra", "verify", "numpy")),
         (["enumerate", "--level", "2"], ENUMERATION_LAYERS),
+        (["enumerate", "--level", "2", "--fundamental"], ENUMERATION_LAYERS),
         (["power", "--params=4,3,1", "-k", "3"],
          ("cli", "construct", "exactmat", "radical", "spectra")),
         (["inverse", "--params=4,3,1"], ("cli", "construct", "exactmat", "radical", "spectra")),
-        (["tables", "--which", "1"], ENUMERATION_LAYERS),
+        (["tables", "--which", "1"], ("cli", "construct", "exactmat", "radical", "spectra")),
         (["tables", "--which", "2"], ENUMERATION_LAYERS),
     ],
-    ids=["import", "generate", "verify", "commute", "spectra", "enumerate", "power",
+    ids=["import", "generate", "verify", "commute", "spectra", "spectra-file", "enumerate",
+         "enumerate-fundamental", "power",
          "inverse", "tables-1", "tables-2"],
 )
 def test_command_loads_only_its_layers(tmp_path, argv, layers):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -23,6 +24,7 @@ from lucasmagic.enumeration import (
     natural_parameter_assignments,
     sv_class_count,
 )
+from lucasmagic.spectra import singular_values
 from lucasmagic.verify import check_natural, fnc_parameter_equation
 
 
@@ -164,14 +166,14 @@ def test_enumerate_fundamental_needs_no_dedup(monkeypatch):
 def test_enumerate_without_representatives_builds_no_sv_classes(monkeypatch):
     # with no representatives built the sv class count is the formula alone
     calls = 0
-    singular_values = enumeration.singular_values
+    sigma_coefficients = enumeration._sigma_coefficients
 
     def counted(triples):
         nonlocal calls
         calls += 1
-        return singular_values(triples)
+        return sigma_coefficients(triples)
 
-    monkeypatch.setattr(enumeration, "singular_values", counted)
+    monkeypatch.setattr(enumeration, "_sigma_coefficients", counted)
     res = enumerate_fundamental(3, ceiling=0)
     assert res.representatives is None and res.sv_class_count == 15
     assert calls == 0
@@ -267,6 +269,39 @@ def test_sv_class_count():
     for level in (0, -1):
         with pytest.raises(ValueError, match="level must be >= 1"):
             sv_class_count(level, materialize=False)
+
+
+def test_sv_class_count_checks_the_materialized_classes(monkeypatch):
+    monkeypatch.setattr(enumeration, "_sv_class", lambda triples: ())
+    with pytest.raises(AssertionError, match="materialized sv classes 1 != formula 3"):
+        sv_class_count(2)
+
+
+def assert_sv_keys_partition_like_the_radicals(reps):
+    """Two parameter sets share enumeration._sv_class exactly when their
+    singular-value lists, as Radicals, are equal multisets."""
+    keys = [enumeration._sv_class(rep) for rep in reps]
+    oracle = [frozenset(Counter(singular_values(rep)).items()) for rep in reps]
+    assert len(set(keys)) == len(set(oracle)) == len(set(zip(keys, oracle)))
+
+
+@pytest.mark.parametrize("family", ["lucas", "frierson"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_sv_class_keys_partition_the_representatives_like_the_radicals(level, family):
+    assert_sv_keys_partition_like_the_radicals(list(fundamental_representatives(level, family)))
+
+
+_small = st.integers(-2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda level: st.lists(
+    st.lists(st.tuples(_small, _small, _small), min_size=level, max_size=level),
+    min_size=2, max_size=8,
+)))
+def test_sv_class_keys_partition_parameters_with_zeros_like_the_radicals(param_sets):
+    # values in -2..2 make mu = 0 and v +- y = 0 common
+    assert_sv_keys_partition_like_the_radicals([normalize_triples(t) for t in param_sets])
 
 
 CENSUS = {

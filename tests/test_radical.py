@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -430,3 +431,11 @@ def test_radicand_must_be_an_integer(radicand):
     # 2.5 was kept as a radicand and 8.0 split to Radical(2, 2.0)
     with pytest.raises(TypeError):
         Radical(1, radicand)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.5, 0.0, "1/2", "3", Decimal("1.5"), Decimal(2)])
+@pytest.mark.parametrize("radicand", [1, 2])
+def test_coefficient_must_be_an_int_or_fraction(coeff, radicand):
+    # 0.1 was kept as a binary fraction, 1.5 as 3/2 and "1/2" was parsed
+    with pytest.raises(TypeError):
+        Radical(coeff, radicand)
