@@ -6,6 +6,19 @@ level.  The compounding identity splits a commutator into an inner-block
 copy and an outer copy that cannot cancel each other, so the level-wise
 test is both necessary and sufficient.  Everything here keeps that
 closed form honest by re-checking against the exact commutator.
+
+For A = lucas(p) and B = lucas(q) at level l, the exact commutator is a
+Kronecker form: each square is a digit sum of order-3 blocks, the all-ones
+J at every digit but one, and the mixed-product rule
+(X1 (x) X2)(Y1 (x) Y2) = X1 Y1 (x) X2 Y2 multiplies them digit by digit.
+A magic block B with line sum 3c has J B = B J = 3c J, and J^2 = 3J, so
+the cross terms of AB and BA are equal and cancel, and [A, B] is 3^(l-1)
+times the digit sum of the l order-3 commutators [L3(p_k), L3(q_k)].  A
+digit sum is zero only when each block is constant, and a commutator is
+traceless, so A and B commute exactly when all l 3x3 commutators are zero.
+The gauge of the c_k does not matter, since c J commutes with every block.
+For a recovered pair this *is* the exact commutator, in O(l) work; the
+packed n x n product (`exactmat.commutes`) checks every other pair.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ from dataclasses import dataclass
 from .construct import (
     FRIERSON9_SETS,
     PHASE_NAMES,
+    _lucas3_rows,
     apply_phase,
     frierson9,
     lucas,
@@ -50,20 +64,37 @@ def commute_predicate(p, q) -> bool:
     return all(commute3_predicate(a, b) for a, b in zip(p, q))
 
 
+def _commutes_by_level(p, q) -> bool:
+    """True iff lucas(p) and lucas(q) commute, for normalized triples of one
+    length: every order-3 commutator [L3(p_k), L3(q_k)] is zero (see the
+    module docstring).  Each 3x3 product is formed exactly."""
+    for s, t in zip(p, q):
+        x, y = _lucas3_rows(*s), _lucas3_rows(*t)
+        if _product3(x, y) != _product3(y, x):
+            return False
+    return True
+
+
+def _product3(x, y) -> list[list[int]]:
+    y0, y1, y2 = y
+    return [[a * d + b * e + c * f for d, e, f in zip(y0, y1, y2)] for a, b, c in x]
+
+
 def commute9_predicate(p, q) -> bool:
     """Order-9 commutation test, re-verified against the exact commutator.
 
     The level-wise direction test covers both swapped-partner patterns
     (outer levels exchanged with inner ones in either orientation) as
     well as blockwise-trivial cases; every call recomputes the exact
-    9x9 commutator and raises if the closed form ever disagreed.
+    commutator in Kronecker form, from the two order-3 commutators, and
+    raises if the closed form ever disagreed.
     """
     p = normalize_triples(p)
     q = normalize_triples(q)
     if len(p) != 2 or len(q) != 2:
         raise ValueError("commute9_predicate expects level-2 parameters")
     predicted = commute_predicate(p, q)
-    observed = commutes_exactly(lucas(p), lucas(q))
+    observed = _commutes_by_level(p, q)
     if predicted != observed:  # pragma: no cover - the closed form is exact
         raise AssertionError(
             f"closed form said {predicted} but the commutator said {observed} "
@@ -217,7 +248,9 @@ class CommutingPairReport:
 
     predicted/consistent are None when either square is not a compound
     Lucas square (no parameters to feed the closed form); observed is
-    always the exact commutator's verdict.
+    always the exact commutator's verdict.  For a recovered pair the exact
+    commutator is its Kronecker form, 3^(l-1) times the digit sum of the
+    l order-3 commutators; any other pair is multiplied out in packed form.
     """
 
     left: tuple | None
@@ -237,11 +270,19 @@ class CommutingPairReport:
 
 
 def commuting_pair_report(a: SquareMatrix, b: SquareMatrix) -> CommutingPairReport:
-    """Compare the closed-form commutation test with the exact commutator."""
-    observed = commutes_exactly(a, b)
+    """Compare the closed-form commutation test with the exact commutator.
+
+    Recovery proves each square equal to lucas(params) entry for entry, so a
+    recovered pair's commutator is read from its l order-3 commutators; the
+    packed product runs only when a square is not recovered.  Mixed orders
+    raise ValueError before either square is recovered.
+    """
+    if a.n != b.n:
+        raise ValueError(f"order mismatch: {a.n} vs {b.n}")
     pa = recover_lucas_params(a)
     pb = recover_lucas_params(b)
     if pa is None or pb is None:
-        return CommutingPairReport(pa, pb, None, observed, None)
+        return CommutingPairReport(pa, pb, None, commutes(a, b), None)
     predicted = commute_predicate(pa, pb)
+    observed = _commutes_by_level(pa, pb)
     return CommutingPairReport(pa, pb, predicted, observed, predicted == observed)

@@ -37,12 +37,15 @@ Pair = tuple[int, int]
 
 def lucas3(c: int, v: int, y: int) -> SquareMatrix:
     """The general order-3 magic square with center c and line sum 3c."""
-    return SquareMatrix(
-        [
-            [c + v, c - v - y, c + y],
-            [c - v + y, c, c + v - y],
-            [c - y, c + v + y, c - v],
-        ]
+    return SquareMatrix(_lucas3_rows(c, v, y))
+
+
+def _lucas3_rows(c, v, y):
+    """The rows of lucas3(c, v, y), as a tuple of tuples."""
+    return (
+        (c + v, c - v - y, c + y),
+        (c - v + y, c, c + v - y),
+        (c - y, c + v + y, c - v),
     )
 
 

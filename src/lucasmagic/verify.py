@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .exactmat import SquareMatrix
-from .construct import Triple, level_of_order, lucas, rank
+from .construct import Triple, _sigma_coefficients, level_of_order, lucas, magic_index, rank
 
 
 def check_magic(m: SquareMatrix):
@@ -144,20 +144,45 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
     """Run every check on one square and bundle the results.
 
     A recovered square is lucas(params) entry for entry (recovery checks the
-    reconstruction), so its rank is the closed form rank(params); Bareiss
-    elimination ranks every other square.
+    reconstruction), so every field but naturalness follows from params:
+    it is magic with line sum magic_index(params); it is regular, since in
+    each order-3 block an entry plus its mirror is 2 c_k, so entry plus
+    mirror is 2 sum c_k = 2 mu / n; its rank is rank(params); and its
+    squared Frobenius norm is that of `_frobenius_sq`.  An unrecovered
+    square runs the entrywise checks, and Bareiss elimination ranks it.
     """
-    is_magic, mu = check_magic(m)
-    frobenius_sq = m.frobenius_sq()
     params = recover_lucas_params(m)
+    if params is None:
+        is_magic, mu = check_magic(m)
+        is_regular = _centrosymmetric(m, mu) if is_magic else None
+        frobenius_sq = m.frobenius_sq()
+        exact_rank = m.exact_rank()
+    else:
+        is_magic, mu, is_regular = True, magic_index(params), True
+        frobenius_sq = _frobenius_sq(params)
+        exact_rank = rank(params)
     return VerificationReport(
         order=m.n,
         is_magic=is_magic,
         summation_index=mu,
-        is_regular=_centrosymmetric(m, mu) if is_magic else None,
+        is_regular=is_regular,
         frobenius_sq=frobenius_sq,
         fnc_pass=frobenius_sq == frobenius_norm_target(m.n),
         is_natural=check_natural(m),
-        exact_rank=m.exact_rank() if params is None else rank(params),
+        exact_rank=exact_rank,
         lucas_params=params,
     )
+
+
+def _frobenius_sq(triples) -> int:
+    """The squared Frobenius norm of lucas(triples), for normalized triples.
+
+    Entry (i, j) is sum_k L3(p_k)[d_k(i)][d_k(j)], and the n^2 digit tuples
+    meet each pair of digits equally often, so the sum of squared entries is
+    n^2 sum_k q_k / 9 + n^2 ((sum c_k)^2 - sum c_k^2), with q_k the sum of
+    the squared entries of L3(p_k), 9 c_k^2 + 6 (v_k^2 + y_k^2).  That is
+    mu^2 + 2 * 3^(2l-1) sum (v_k^2 + y_k^2), the sum of the squared singular
+    values: mu^2 and 3 w^2 for each further signed coefficient w.
+    """
+    mu, *ws = _sigma_coefficients(triples)
+    return mu * mu + 3 * sum(w * w for w in ws)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lucasmagic import algebra
 from lucasmagic.algebra import (
     FIER9_EXPECTED_PAIRS,
     CommutingPairReport,
@@ -22,11 +23,12 @@ from lucasmagic.construct import (
     FRIERSON9_SETS,
     PHASE_NAMES,
     apply_phase,
+    frierson,
     frierson_to_lucas,
     lucas,
     lucas3,
 )
-from lucasmagic.exactmat import SquareMatrix, commutator
+from lucasmagic.exactmat import SquareMatrix, commutator, commutes
 from lucasmagic.verify import check_natural
 
 
@@ -202,6 +204,17 @@ def test_commuting_pair_report_non_family():
     assert rep.to_json()["right_params"] is None
 
 
+def test_commuting_pair_report_refuses_mixed_orders(monkeypatch):
+    def refuse(m):
+        raise AssertionError("recovery ran")
+
+    monkeypatch.setattr(algebra, "recover_lucas_params", refuse)
+    level2 = lucas(((4, 1, 3), (36, 27, 9)))
+    for a, b in ((lucas3(4, 3, 1), level2), (level2, lucas3(4, 3, 1))):
+        with pytest.raises(ValueError, match="order mismatch: "):
+            commuting_pair_report(a, b)
+
+
 def test_report_against_identity():
     # the identity commutes with everything but is not a family member
     rep = commuting_pair_report(lucas3(4, 3, 1), SquareMatrix.identity(3))
@@ -228,6 +241,53 @@ def test_commute9_predicate_self_checks(p, q):
     # raise if the closed-form condition ever disagreed
     got = commute9_predicate(p, q)
     assert got == commutes_exactly(lucas(p), lucas(q))
+
+
+@st.composite
+def phased_pairs(draw):
+    """Two phased Lucas or Frierson squares of one level in 1-4.  Levels may
+    be degenerate (zero, v = y or v = -y) and c may be negative.  Half the
+    pairs commute: the second square's (v, y) are multiples of the first's
+    at every level, and both take the same phase."""
+    part = st.integers(-9, 9)
+    frier = draw(st.booleans())
+    commuting = draw(st.booleans())
+    levels = []
+    for _ in range(draw(st.integers(1, 4))):
+        v, y = draw(part), draw(part)
+        shape = draw(st.sampled_from(("free", "zero", "v=y", "v=-y")))
+        if shape == "zero":
+            v = y = 0
+        elif shape != "free":
+            y = v if shape == "v=y" else -v
+        levels.append((abs(v), abs(y)) if frier else (v, y))
+    others = []
+    for v, y in levels:
+        if commuting:
+            k = draw(st.integers(0 if frier else -3, 3))
+            others.append((k * v, k * y))
+        else:
+            s, t = draw(part), draw(part)
+            others.append((abs(s), abs(t)) if frier else (s, t))
+
+    def square(pairs):
+        if frier:
+            return frierson(pairs)
+        return lucas([(draw(part), v, y) for v, y in pairs])
+
+    phase = st.sampled_from(PHASE_NAMES)
+    first = draw(phase)
+    second = first if commuting else draw(phase)
+    return apply_phase(square(levels), first), apply_phase(square(others), second)
+
+
+@given(phased_pairs())
+@settings(max_examples=150, deadline=None)
+def test_report_observes_the_packed_commutator(pair):
+    a, b = pair
+    rep = commuting_pair_report(a, b)
+    assert rep.observed == commutes(a, b)
+    assert rep.consistent is True
 
 
 @given(st.sampled_from(sorted(FRIERSON9_SETS)), st.sampled_from(sorted(FRIERSON9_SETS)))

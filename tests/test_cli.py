@@ -736,6 +736,17 @@ def test_commute_needs_two_files(tmp_path, capsys):
     assert rc == 2
 
 
+def test_commute_refuses_mixed_orders(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_text(lucas3(4, 3, 1).to_grid())
+    b.write_text(lucas(((4, 1, 3), (36, 27, 9))).to_grid())
+    rc, out, err = run(capsys, "commute", str(a), str(b))
+    assert rc == 2
+    assert out == ""
+    assert "order mismatch: 3 vs 9" in err
+
+
 def test_commute_suite(capsys):
     rc, out, _ = run(capsys, "commute", "--suite", "fier9")
     assert rc == 0

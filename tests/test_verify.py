@@ -1,12 +1,21 @@
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lucasmagic import verify
-from lucasmagic.construct import PHASE_NAMES, apply_phase, frierson, frierson9, lucas, lucas3
+from lucasmagic.construct import (
+    PHASE_NAMES,
+    apply_phase,
+    frierson,
+    frierson9,
+    lucas,
+    lucas3,
+    rank,
+)
 from lucasmagic.exactmat import SquareMatrix
 from lucasmagic.verify import (
     check_fnc,
@@ -235,23 +244,26 @@ def test_verify_report_on_a_non_magic_matrix():
 
 
 def test_verify_report_checks_magic_once(monkeypatch):
+    # a recovered square takes is_magic and mu from its parameters, so only
+    # the unrecovered pandiagonal square runs the line-sum check, once
     pan = SquareMatrix([[1, 14, 11, 8], [15, 4, 5, 10], [6, 9, 16, 3], [12, 7, 2, 13]])
     check = verify.check_magic
-    for m, regular in ((frierson9("A"), True), (pan, False)):
+    for m, regular, count in ((frierson9("A"), True, 0), (pan, False, 1)):
         calls = []
         monkeypatch.setattr(verify, "check_magic", lambda x: calls.append(x) or check(x))
         rep = verify_report(m)
-        assert len(calls) == 1
+        assert len(calls) == count
         assert rep.is_magic and rep.is_regular is regular
 
 
 @st.composite
-def compound_squares(draw):
-    """A phased Lucas or Frierson square at levels 1-3 whose levels may be
-    degenerate (zero, v = y or v = -y) and whose line sum may be zero."""
+def compound_squares(draw, max_level=3):
+    """A phased Lucas or Frierson square at levels 1 to max_level whose
+    levels may be degenerate (zero, v = y or v = -y) and whose line sum may
+    be zero."""
     part = st.integers(-9, 9)
     levels = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_level))):
         v, y = draw(part), draw(part)
         shape = draw(st.sampled_from(("free", "zero", "v=y", "v=-y")))
         if shape == "zero":
@@ -275,6 +287,35 @@ def test_report_rank_of_a_compound_square_is_bareiss(m):
     rep = verify_report(m)
     assert rep.lucas_params is not None
     assert rep.exact_rank == m.exact_rank()
+
+
+def entrywise_report(m):
+    """verify_report with every field but the rank read off the entries; the
+    closed-form rank is held against Bareiss by the tests above."""
+    is_magic, mu = check_magic(m)
+    frobenius_sq = m.frobenius_sq()
+    params = recover_lucas_params(m)
+    return verify.VerificationReport(
+        order=m.n,
+        is_magic=is_magic,
+        summation_index=mu,
+        is_regular=verify._centrosymmetric(m, mu) if is_magic else None,
+        frobenius_sq=frobenius_sq,
+        fnc_pass=frobenius_sq == frobenius_norm_target(m.n),
+        is_natural=check_natural(m),
+        exact_rank=rank(params),
+        lucas_params=params,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(compound_squares(max_level=5))
+@example(lucas(((0, 0, 0),) * 3))
+@example(frierson([(1, 3), (9, 27), (81, 243), (729, 2187), (6561, 19683)]))
+def test_report_of_a_recovered_square_matches_the_entrywise_checks(m):
+    assert recover_lucas_params(m) is not None
+    got = json.dumps(verify_report(m).to_json())
+    assert got == json.dumps(entrywise_report(m).to_json())
 
 
 @settings(max_examples=100, deadline=None)
