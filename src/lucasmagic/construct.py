@@ -219,14 +219,23 @@ def canonical_phase(m: SquareMatrix) -> SquareMatrix:
 
 
 def canonical_parameters(triples) -> tuple[Triple, ...]:
-    """The lexicographically smallest of the 8 phase images of the params.
+    """The lexicographically smallest of the 8 phase images of the params."""
+    return _canonical(normalize_triples(triples))
+
+
+def _canonical(triples) -> tuple[Triple, ...]:
+    """canonical_parameters for normalized triples.
 
     Tuples compare level 1 first and no phase changes c_1, so the least image
-    comes from a phase whose image of level 1's (v, y) is least; only those
-    phases' full images are built (one phase unless |v_1| = |y_1|).
+    comes from a phase whose image of level 1's (v, y) is least.  That image
+    is (-max, -min) of |v_1| and |y_1|, and when v_1 < y_1 < 0 the identity
+    alone reaches it, so the triples are their own least image.  Otherwise
+    only the phases that reach it build their full images (one phase unless
+    |v_1| = |y_1|).
     """
-    triples = normalize_triples(triples)
     _, v1, y1 = triples[0]
+    if v1 < y1 < 0:
+        return triples
     firsts = [act(v1, y1) for act in _PHASE_MAPS]
     least = min(firsts)
     return min(

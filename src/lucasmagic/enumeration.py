@@ -20,8 +20,8 @@ from math import factorial, floor, inf, isqrt, lgamma, log, log10, prod
 
 from .construct import (
     Triple,
+    _canonical,
     _sigma_coefficients,
-    canonical_parameters,
     lucas,
     normalize_triples,
 )
@@ -95,28 +95,37 @@ def fundamental_representatives(level: int, family: str = "lucas"):
     phase acts on every level, so the other levels take any two unused
     magnitudes in either order with every sign (Lucas) or both negative
     (Frierson).  Each level's candidates are sorted, so a depth-first walk
-    yields the tuples in lexicographic order; it holds one candidate list
-    per level.
+    yields the tuples in lexicographic order.  A level's candidates depend
+    only on the magnitudes still free, so the walk builds one sorted list
+    per free set, once per call, and stores each candidate's child free set
+    next to it; memory is bounded by those lists, and the tuples stream.
     """
     _check_family(family)
     _check_level(level)
     signs = tuple(product((1, -1), repeat=2)) if family == "lucas" else ((-1, -1),)
+    lists = {}
 
-    def walk(prefix, free):
-        if not free:
-            yield prefix
-            return
-        pairs = [(a, b) for a in free for b in free if a != b]
-        if prefix:
-            candidates = sorted(
-                (a + b, sa * a, sb * b) for a, b in pairs for sa, sb in signs
+    def candidates(free):
+        # (triple, the free set below it), sorted by triple, built once
+        cands = lists.get(free)
+        if cands is None:
+            cands = lists[free] = sorted(
+                ((a + b, sa * a, sb * b), free - {a, b})
+                for a in free for b in free if a != b for sa, sb in signs
             )
-        else:
-            candidates = sorted((a + b, -a, -b) for a, b in pairs if a > b)
-        for c, v, y in candidates:
-            yield from walk(prefix + ((c, v, y),), free - {abs(v), abs(y)})
+        return cands
 
-    yield from walk((), frozenset(3 ** k for k in range(2 * level)))
+    def walk(prefix, cands):
+        for t, rest in cands:
+            if rest:
+                yield from walk(prefix + (t,), candidates(rest))
+            else:
+                yield prefix + (t,)
+
+    mags = frozenset(3 ** k for k in range(2 * level))
+    yield from walk((), sorted(
+        ((a + b, -a, -b), mags - {a, b}) for a in mags for b in mags if a > b
+    ))
 
 
 @dataclass(frozen=True)
@@ -150,7 +159,9 @@ def enumerate_fundamental(
 
     Materialized runs take the representatives from
     fundamental_representatives and cross-check them: their number must be
-    the closed formula and each must be its own canonical_parameters; the
+    the closed formula and each must be its own canonical form
+    (construct._canonical, which returns a natural representative at once
+    when v_1 < y_1 < 0 and builds the phase images otherwise); the
     singular-value classes are materialized and checked too.  Beyond the
     ceiling only the formulas are used and representatives are None.
     """
@@ -171,7 +182,7 @@ def enumerate_fundamental(
                 f"{len(reps)} representatives disagree with formula ({formula})"
             )
         for rep in reps:
-            if canonical_parameters(rep) != rep:
+            if _canonical(rep) != rep:
                 raise AssertionError(f"representative {rep} is not canonical")
     return EnumerationResult(
         level=level,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lucasmagic.construct import PHASE_NAMES, phase_parameters
+from lucasmagic.construct import PHASE_ACTIONS, PHASE_NAMES, normalize_triples, phase_parameters
 from lucasmagic.radical import Radical, RadicalSum
 
 
@@ -16,6 +16,15 @@ def compose_phases(first: str, second: str) -> str:
         if phase_parameters(probe, name) == image:
             return name
     raise AssertionError("phase composition left the group")  # unreachable
+
+
+def oracle_canonical_parameters(triples):
+    """The least of all 8 full phase images, each built in full."""
+    triples = normalize_triples(triples)
+    return min(
+        tuple((c,) + act(v, y) for c, v, y in triples)
+        for act, _ in PHASE_ACTIONS.values()
+    )
 
 
 def orthonormality_residual(rows) -> float:

@@ -308,6 +308,17 @@ def test_enumerate_fundamental_listing(capsys):
         assert err == "error: level must be >= 1\n"
 
 
+# Whole `enumerate --level 3 --fundamental` stdout, one representative a line
+@pytest.mark.parametrize("family,digest", [
+    ("lucas", "a7bfc608eea937ce940a8d22ab3a89b0176175bc6947381e54e74044236eb7e6"),
+    ("frierson", "970d9d9b08fe6358c8441f62a813c86986a6afdd38363689ec72a97e6b2d97a8"),
+])
+def test_enumerate_level3_fundamental_stdout_is_pinned(capsys, family, digest):
+    rc, out, err = run(capsys, "enumerate", "--level", "3", "--fundamental", "--family", family)
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_enumerate_count_only(capsys):
     rc, out, _ = run(capsys, "enumerate", "--level", "2", "--fundamental", "--count-only")
     assert rc == 0

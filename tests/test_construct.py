@@ -6,8 +6,8 @@ from hypothesis import example, given, strategies as st
 
 from lucasmagic.construct import (
     FRIERSON9_SETS,
-    PHASE_ACTIONS,
     PHASE_NAMES,
+    _canonical,
     apply_phase,
     canonical_parameters,
     canonical_phase,
@@ -32,7 +32,7 @@ from lucasmagic.construct import (
 from lucasmagic.exactmat import SquareMatrix, kron
 from lucasmagic.verify import check_magic, check_natural, check_regular
 
-from helpers import compose_phases
+from helpers import compose_phases, oracle_canonical_parameters
 
 # The eight order-3 natural squares, keyed by parameters.
 NATURAL3 = {
@@ -263,15 +263,6 @@ def test_phase_parameters_commute_with_construction(triples, phase):
     assert lucas(phase_parameters(triples, phase)) == apply_phase(lucas(triples), phase)
 
 
-def oracle_canonical_parameters(triples):
-    """The least of all 8 full phase images, each built in full."""
-    triples = normalize_triples(triples)
-    return min(
-        tuple((c,) + act(v, y) for c, v, y in triples)
-        for act, _ in PHASE_ACTIONS.values()
-    )
-
-
 small = st.integers(min_value=-3, max_value=3)
 # level 1 with |v| = |y| (zeros included): its images tie, and later levels decide
 tied_level1 = st.builds(lambda c, v, s: (c, v, s * v), small, small, st.sampled_from((1, -1)))
@@ -284,9 +275,17 @@ tied_level1 = st.builds(lambda c, v, s: (c, v, s * v), small, small, st.sampled_
 @example((4, 0, 0), [(1, 0, 0), (2, 1, -1)])
 @example((5, 2, -2), [(0, 1, 1), (3, -1, 2)])
 @example((0, 0, 0), [(0, 0, 0)])
+# around the v_1 < y_1 < 0 fast path, with later levels whose images tie
+@example((3, -2, -1), [(2, 1, 1), (0, -1, 1)])
+@example((2, -1, -1), [(2, 1, -1), (1, 1, 1)])
+@example((2, -2, 0), [(0, 0, 0), (2, -1, -1)])
+@example((3, -1, -2), [(2, -1, -1), (1, 1, 1)])
+@example((3, 2, 1), [(1, 1, 1), (2, 1, -1)])
+@example((1, 0, -1), [(0, 0, 0), (2, -1, 1)])
 def test_canonical_parameters_matches_the_eight_image_oracle(first, rest):
     triples = [first, *rest]
     want = oracle_canonical_parameters(triples)
     assert canonical_parameters(triples) == want
+    assert _canonical(normalize_triples(triples)) == want
     for p in PHASE_NAMES:
         assert canonical_parameters(phase_parameters(triples, p)) == want

@@ -2,13 +2,20 @@ import hashlib
 import json
 import random
 from collections import Counter
+from itertools import islice
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lucasmagic import enumeration
-from lucasmagic.construct import canonical_parameters, lucas, normalize_triples
+from lucasmagic.construct import (
+    PHASE_NAMES,
+    canonical_parameters,
+    lucas,
+    normalize_triples,
+    phase_parameters,
+)
 from lucasmagic.enumeration import (
     CensusRow,
     census,
@@ -26,6 +33,8 @@ from lucasmagic.enumeration import (
 )
 from lucasmagic.spectra import singular_values
 from lucasmagic.verify import check_natural, fnc_parameter_equation
+
+from helpers import oracle_canonical_parameters
 
 
 def test_counting_formulas():
@@ -146,21 +155,72 @@ def test_frierson_level4_representatives_stream():
         assert canonical_parameters(rep) == rep
     for rep in random.Random(4).sample(reps, 12):
         assert check_natural(lucas(rep))
+    oracle = sorted(
+        set(map(canonical_parameters, natural_parameter_assignments(4, "frierson")))
+    )
+    assert reps == oracle
+
+
+def is_natural_assignment(triples, family):
+    """The magnitudes are 3^0 .. 3^(2l-1) with c_i = |v_i| + |y_i|, and for
+    Frierson the rmr image (every sign flipped) is all positive."""
+    mags = sorted(abs(x) for _, v, y in triples for x in (v, y))
+    if mags != [3 ** k for k in range(2 * len(triples))]:
+        return False
+    if any(c != abs(v) + abs(y) for c, v, y in triples):
+        return False
+    return family == "lucas" or all(
+        v > 0 and y > 0 for _, v, y in phase_parameters(triples, "rmr")
+    )
+
+
+@pytest.mark.parametrize("family", ["lucas", "frierson"])
+def test_representatives_stream_lazily_above_the_ceiling(family):
+    # level 6 has about 2.5e11 Lucas orbits: only a lazy walk returns
+    reps = list(islice(fundamental_representatives(6, family), 50))
+    assert len(reps) == 50
+    assert all(a < b for a, b in zip(reps, reps[1:]))
+    for rep in reps:
+        assert oracle_canonical_parameters(rep) == rep
+        assert is_natural_assignment(rep, family)
 
 
 def test_enumerate_fundamental_needs_no_dedup(monkeypatch):
     calls = 0
-    canonical = enumeration.canonical_parameters
+    canonical = enumeration._canonical
 
     def counted(triples):
         nonlocal calls
         calls += 1
         return canonical(triples)
 
-    monkeypatch.setattr(enumeration, "canonical_parameters", counted)
+    monkeypatch.setattr(enumeration, "_canonical", counted)
     res = enumerate_fundamental(3)
     assert len(res.representatives) == lucas_fundamental_formula(3)
-    assert calls <= lucas_fundamental_formula(3)
+    assert calls == lucas_fundamental_formula(3)
+
+
+@pytest.mark.parametrize("family", ["lucas", "frierson"])
+def test_enumerate_fundamental_checks_fire(monkeypatch, family):
+    walk = enumeration.fundamental_representatives
+    reps = list(walk(3, family))
+
+    def serve(listed):
+        # the listed reps for this family; sv_class_count's walk is untouched
+        monkeypatch.setattr(
+            enumeration, "fundamental_representatives",
+            lambda level, fam="lucas": iter(listed) if fam == family else walk(level, fam),
+        )
+
+    for phase in PHASE_NAMES[1:]:
+        serve(reps[:7] + [phase_parameters(reps[7], phase)] + reps[8:])
+        with pytest.raises(AssertionError, match="is not canonical"):
+            enumerate_fundamental(3, family)
+    serve(reps[:-1])
+    with pytest.raises(AssertionError, match="disagree with formula"):
+        enumerate_fundamental(3, family)
+    serve(reps)
+    assert enumerate_fundamental(3, family).representatives == tuple(reps)
 
 
 def test_enumerate_without_representatives_builds_no_sv_classes(monkeypatch):
