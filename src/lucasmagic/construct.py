@@ -15,9 +15,11 @@ where (x) is the Kronecker product and E is the all-ones matrix; the level-1
 triple is the innermost factor.  Block (a, b) of the next square is the inner
 square plus L3[a][b], so entry (i, j) of a level-l square is the sum over
 levels k of L3(c_k, v_k, y_k)[d_k(i)][d_k(j)], with d_k the k-th base-3
-digit (level 1 the least significant); `lucas` builds the rows that way,
-`spectra.matrix_power` builds powers with the same kernel, and the
-decomposition factors read each entry's value-table index from it.
+digit (level 1 the least significant).  One row stream, `_digit_rows`,
+writes that sum (`_lucas_rows` feeds it the L3 blocks): `lucas` and
+`spectra.matrix_power` wrap it in a square, while parameter recovery, the
+float residuals' M, the distinct-element check and the decomposition factors
+(each entry's value-table index) read its rows as they come.
 `compound_once` keeps the Kronecker form as a reference.
 
 The eight dihedral images of a square (its phases) act on the parameters by
@@ -86,21 +88,30 @@ def lucas(triples) -> SquareMatrix:
     triples[0] is the innermost level; the order of the result is
     3**len(triples).
     """
-    return _block_sum([lucas3(c, v, y).rows for c, v, y in normalize_triples(triples)])
+    return SquareMatrix(_lucas_rows(normalize_triples(triples)))
 
 
-def _block_sum(blocks) -> SquareMatrix:
-    """The square whose entry (i, j) is the sum over k of
-    blocks[k][d_k(i)][d_k(j)], with d_k the k-th base-3 digit (blocks[0]
-    the least significant).  Each block replaces the rows so far by the 3x3
-    block matrix whose block (a, b) is those rows plus blocks[k][a][b].
+def _lucas_rows(triples):
+    """The rows of lucas(triples) as _digit_rows streams them, for
+    normalized triples."""
+    return _digit_rows([_lucas3_rows(c, v, y) for c, v, y in triples])
+
+
+def _digit_rows(blocks):
+    """The rows, as tuples and one at a time, of the square whose entry (i, j)
+    is the sum over k of blocks[k][d_k(i)][d_k(j)], with d_k the k-th base-3
+    digit (blocks[0] the least significant).  Each block but the last
+    replaces the rows so far by the 3x3 block matrix whose block (a, b) is
+    those rows plus blocks[k][a][b]; the last block's rows are then formed
+    as they are read, so only a ninth of the square is ever held.
     """
+    *inner, top = blocks
     rows = [[0]]
-    for block in blocks:
-        rows = [
-            [x + s for s in outer_row for x in r] for outer_row in block for r in rows
-        ]
-    return SquareMatrix(rows)
+    for block in inner:
+        rows = [[x + s for s in outer_row for x in r] for outer_row in block for r in rows]
+    for outer_row in top:
+        for r in rows:
+            yield tuple([x + s for s in outer_row for x in r])
 
 
 def frierson(pairs) -> SquareMatrix:

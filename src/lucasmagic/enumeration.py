@@ -15,14 +15,14 @@ The orbit representatives are built directly, in sorted order, by
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import factorial, floor, inf, isqrt, lgamma, log, log10, prod
 
 from .construct import (
     Triple,
     _canonical,
+    _lucas_rows,
     _sigma_coefficients,
-    lucas,
     normalize_triples,
 )
 from .verify import fnc_parameter_equation
@@ -196,8 +196,8 @@ def enumerate_fundamental(
 
 def duplicate_element_check(triples) -> bool:
     """True iff lucas(triples) has pairwise-distinct elements."""
-    m = lucas(normalize_triples(triples))
-    return len(set(m.entries())) == m.n * m.n
+    triples = normalize_triples(triples)
+    return len(set(chain.from_iterable(_lucas_rows(triples)))) == 9 ** len(triples)
 
 
 def fnc_integer_solutions(level: int, require_distinct: bool = True):
@@ -217,8 +217,8 @@ def fnc_integer_solutions(level: int, require_distinct: bool = True):
     meets the linear sum.  With both equations the answer is unique at
     levels 1 and 2.  At level 3 the two moments are no longer enough --
     hundreds of tuples besides (1, 3, 9, 27, 81, 243) satisfy both, and
-    only duplicate_element_check separates the genuine natural set from
-    the impostors.
+    the magnitude criterion (verify._natural: the magnitudes are exactly
+    3^0 .. 3^(2l-1)) separates the genuine natural set from the impostors.
     """
     quad_target = fnc_parameter_equation(level)
     lin_target = (9 ** level - 1) // 2

@@ -44,12 +44,13 @@ def _norm_row(row) -> tuple:
     return tuple(_norm_entry(x) for x in row)
 
 
-def _parse_grid_row(tokens) -> list:
+def _parse_grid_row(line: str) -> list:
     # int() reads "1_000" on every supported Python, Fraction() only from
     # 3.11 on, so a row holding an underscore is left to Fraction alone
-    if not any("_" in tok for tok in tokens):
+    tokens = line.split()
+    if "_" not in line:
         try:
-            return [int(tok) for tok in tokens]
+            return list(map(int, tokens))
         except ValueError:  # a p/q or decimal token
             pass
     return [_parse_fraction(tok) for tok in tokens]
@@ -308,7 +309,7 @@ class SquareMatrix:
             if not line:
                 continue
             try:
-                rows.append(_parse_grid_row(line.split()))
+                rows.append(_parse_grid_row(line))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in grid row {line!r}") from None
         return SquareMatrix(rows)

@@ -20,7 +20,8 @@ singular-vector matrices are Kronecker products of order-3 factors
 jcf_matrices returns (S, D) and svd_matrices (U, sigma, V), in the order of
 M S = S D and M = U diag(sigma) V^T; their exact rows form each distinct
 product of order-3 entries once, in a per-level value table indexed by the
-digit walk that builds the squares (construct._block_sum).  The float
+digit walk that builds the squares (construct._digit_rows), whose rows also
+stream the float M's entries into numpy (construct._lucas_rows).  The float
 residuals never form an exact product: they apply the Kronecker structure to
 the order-3 float blocks by mode products over base-3 digits, with no gemm and
 no BLAS call, so their bits do not depend on the BLAS thread count.  S D and
@@ -33,12 +34,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import index, itemgetter
 from typing import TYPE_CHECKING
 
 from . import radical
-from .construct import (_block_sum, _sigma_coefficients, normalize_triples, lucas, lucas3,
-                        magic_index, rank)
+from .construct import (_digit_rows, _lucas_rows, _sigma_coefficients, normalize_triples,
+                        lucas3, magic_index, rank)
 from .exactmat import SquareMatrix
 from .radical import Radical, RadicalSum
 
@@ -200,7 +202,7 @@ def _factor_rows(blocks, negated=()) -> Rows:
     (blocks[0] the least significant).
 
     Each distinct product is formed once, in a value table that level k
-    extends by its block's distinct values, so construct._block_sum writes
+    extends by its block's distinct values, so construct._digit_rows writes
     each entry's table index: sum over k of value index * prior table size.
     The table starts from the integer 1, so its entries have the blocks' own
     scalar type: Radical products cost one gcd and are never boxed as sums.
@@ -216,7 +218,7 @@ def _factor_rows(blocks, negated=()) -> Rows:
     head = _head_columns(len(blocks))
     pick = itemgetter(*head, *(j for j in range(3 ** len(blocks)) if j not in head))
     rows = []
-    for row in _block_sum(index_blocks).rows:
+    for row in _digit_rows(index_blocks):
         r = [table[k] for k in pick(row)]
         for p in negated:
             r[p] = -r[p]
@@ -262,8 +264,10 @@ def _float_square(triples) -> tuple[np.ndarray, float] | None:
     would unscaled, and their sums of squares stay in range."""
     import numpy as np
 
+    n = 3 ** len(triples)
     try:
-        a = np.array(lucas(triples).rows, dtype=float)
+        a = np.fromiter(chain.from_iterable(_lucas_rows(triples)), dtype=float, count=n * n)
+        a = a.reshape(n, n)
     except OverflowError:
         return None
     scale = math.ldexp(1.0, -math.frexp(max(a.max(), -a.min()))[1])
@@ -490,7 +494,7 @@ def matrix_power(triples, k: int) -> SquareMatrix:
         blocks.append([[f * x for x in row] for row in rows])
     const = blocks.pop()
     blocks[0] = [[x + z for x, z in zip(r, c)] for r, c in zip(blocks[0], const)]
-    return _block_sum(blocks)
+    return SquareMatrix(_digit_rows(blocks))
 
 
 def matrix_power_digits(triples, k: int) -> float:

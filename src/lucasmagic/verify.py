@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .exactmat import SquareMatrix
-from .construct import Triple, _sigma_coefficients, level_of_order, lucas, magic_index, rank
+from .construct import (Triple, _lucas_rows, _sigma_coefficients, level_of_order, magic_index,
+                        normalize_triples, rank)
 
 
 def check_magic(m: SquareMatrix):
@@ -87,7 +88,8 @@ def recover_lucas_params(m: SquareMatrix):
     determined by the matrix (only their total is), so the c's are gauged as
     c_i = |v_i| + |y_i| for i >= 2 with the remainder in c_1 — which
     reproduces the conventional values for natural squares.  The candidate
-    is always verified by reconstruction; any mismatch returns None.
+    is always verified by reconstruction, row by row up to the first that
+    differs; any mismatch or non-integer candidate returns None.
     """
     try:
         level = level_of_order(m.n)
@@ -103,13 +105,12 @@ def recover_lucas_params(m: SquareMatrix):
 
     cs = [abs(v) + abs(y) for v, y in vy]
     cs[0] = c_total - sum(cs[1:])
-    triples = tuple((c,) + p for c, p in zip(cs, vy))
     try:
-        if lucas(triples) == m:
-            return triples
-    except (ValueError, TypeError):
-        pass
-    return None
+        triples = normalize_triples((c,) + p for c, p in zip(cs, vy))
+    except TypeError:
+        return None
+    rows = _lucas_rows(triples)
+    return triples if all(r == s for r, s in zip(rows, m.rows)) else None
 
 
 @dataclass(frozen=True)
@@ -144,23 +145,24 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
     """Run every check on one square and bundle the results.
 
     A recovered square is lucas(params) entry for entry (recovery checks the
-    reconstruction), so every field but naturalness follows from params:
-    it is magic with line sum magic_index(params); it is regular, since in
-    each order-3 block an entry plus its mirror is 2 c_k, so entry plus
-    mirror is 2 sum c_k = 2 mu / n; its rank is rank(params); and its
-    squared Frobenius norm is that of `_frobenius_sq`.  An unrecovered
-    square runs the entrywise checks, and Bareiss elimination ranks it.
+    reconstruction), so every field follows from params: it is magic with
+    line sum magic_index(params); it is regular, since in each order-3 block
+    an entry plus its mirror is 2 c_k, so entry plus mirror is
+    2 sum c_k = 2 mu / n; its rank is rank(params); its squared Frobenius
+    norm is that of `_frobenius_sq`; and `_natural` decides naturalness.  An
+    unrecovered square runs the entrywise checks, and Bareiss elimination
+    ranks it.
     """
     params = recover_lucas_params(m)
     if params is None:
         is_magic, mu = check_magic(m)
         is_regular = _centrosymmetric(m, mu) if is_magic else None
         frobenius_sq = m.frobenius_sq()
-        exact_rank = m.exact_rank()
+        exact_rank, is_natural = m.exact_rank(), check_natural(m)
     else:
         is_magic, mu, is_regular = True, magic_index(params), True
         frobenius_sq = _frobenius_sq(params)
-        exact_rank = rank(params)
+        exact_rank, is_natural = rank(params), _natural(params)
     return VerificationReport(
         order=m.n,
         is_magic=is_magic,
@@ -168,7 +170,7 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
         is_regular=is_regular,
         frobenius_sq=frobenius_sq,
         fnc_pass=frobenius_sq == frobenius_norm_target(m.n),
-        is_natural=check_natural(m),
+        is_natural=is_natural,
         exact_rank=exact_rank,
         lucas_params=params,
     )
@@ -186,3 +188,22 @@ def _frobenius_sq(triples) -> int:
     """
     mu, *ws = _sigma_coefficients(triples)
     return mu * mu + 3 * sum(w * w for w in ws)
+
+
+def _natural(triples) -> bool:
+    """check_natural(lucas(triples)), for normalized triples: the sorted
+    |v_k|, |y_k| are 3^0, ..., 3^(2l-1) and sum c_k is (9^l - 1) / 2.
+
+    Entry (i, j) is C + sum_k (a_k v_k + b_k y_k), C = sum c_k, where
+    (a_k, b_k) runs over {-1, 0, 1}^2 as the digit pair (d_k(i), d_k(j))
+    does, once each: L3's nine entries are c + a v + b y.  So the square is
+    natural iff prod_w (1 + x^|w| + x^(2|w|)) = x^(sum |w| - C)
+    (x^(9^l) - 1) / (x - 1) over the 2l values w.  A zero w makes a
+    coefficient 3.  Otherwise 1 + x^u + x^(2u) is the product of Phi_d over
+    d | 3u, d not dividing u, and the right side is Phi_3 Phi_9 ...
+    Phi_(3^(2l)), so by unique factorisation the |w| are the distinct powers
+    3^0 .. 3^(2l-1) and C = sum |w|.  Balanced ternary gives the converse.
+    """
+    mags = sorted(abs(w) for _, v, y in triples for w in (v, y))
+    c_total = sum(c for c, _, _ in triples)
+    return mags == [3 ** k for k in range(len(mags))] and 2 * c_total == 9 ** len(triples) - 1

@@ -473,14 +473,15 @@ class _Built(Exception):
 
 @pytest.fixture
 def no_square_built(monkeypatch):
-    # a call that reaches construction raises _Built instead of building
+    # a call that reaches construction raises _Built instead of building:
+    # every square, power and float M is read from construct._digit_rows
     from lucasmagic import construct, spectra
 
     def refuse(blocks):
         raise _Built
 
-    monkeypatch.setattr(construct, "_block_sum", refuse)
-    monkeypatch.setattr(spectra, "_block_sum", refuse)
+    monkeypatch.setattr(construct, "_digit_rows", refuse)
+    monkeypatch.setattr(spectra, "_digit_rows", refuse)
 
 
 @pytest.mark.parametrize("command", [("generate",), ("power", "-k", "2"), ("spectra",)])

@@ -621,6 +621,21 @@ def test_residuals_equal_the_kron_chain_bit_for_bit(triples):
         assert _hex(spectra._jcf_residual(triples, square, eigs)) == _hex(want_jcf)
 
 
+@given(st.lists(level_triple, min_size=1, max_size=4))
+@example([(0, 2 ** 53 + 1, 0), (1, 0, 3)])  # entries that round
+@example([(0, 2 ** 1100, 0)])  # past float range
+@settings(max_examples=100, deadline=None)
+def test_float_square_is_the_exact_square_rounded(triples):
+    # M in floats is read from the digit-sum row stream, entry by entry
+    try:
+        want = np.array(lucas(triples).rows, dtype=float)
+    except OverflowError:
+        assert spectra._float_square(triples) is None
+        return
+    a, scale = spectra._float_square(triples)
+    assert a.flags.c_contiguous and a.tobytes() == (want * scale).tobytes()
+
+
 NATURAL_FRIERSON6 = ((1, 3), (9, 27), (81, 243), (729, 2187), (6561, 19683), (59049, 177147))
 
 
@@ -667,7 +682,8 @@ def test_singular_values_match_the_splitting_constructor(triples):
 def test_spectrum_report_builds_shared_values_once(monkeypatch):
     triples = ((-4, 3, 1), (36, -27, 9), (324, 243, -81))
     want = spectrum_report(triples).to_json()
-    calls = {"lucas": 0, "eigenvalues": 0, "singular_values": 0}
+    # M's entries are read once from the digit-sum row stream
+    calls = {"_lucas_rows": 0, "eigenvalues": 0, "singular_values": 0}
     for name in calls:
         original = getattr(spectra, name)
 
@@ -677,7 +693,7 @@ def test_spectrum_report_builds_shared_values_once(monkeypatch):
 
         monkeypatch.setattr(spectra, name, counted)
     assert spectrum_report(triples).to_json() == want
-    assert calls == {"lucas": 1, "eigenvalues": 1, "singular_values": 1}
+    assert calls == {"_lucas_rows": 1, "eigenvalues": 1, "singular_values": 1}
 
 
 def test_negated_u_columns_convert_no_extra_values(monkeypatch):

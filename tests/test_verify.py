@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lucasmagic import verify
+from lucasmagic import construct, verify
 from lucasmagic.construct import (
     PHASE_NAMES,
     apply_phase,
@@ -342,6 +342,121 @@ def test_report_runs_bareiss_only_on_squares_it_cannot_recover(monkeypatch, m5):
     for m in (m5, SquareMatrix.identity(9), lucas3(4, 3, 1) * Fraction(1, 2)):
         with pytest.raises(AssertionError, match="Bareiss called"):
             verify_report(m)
+
+
+def test_recovered_report_builds_no_square(monkeypatch, m5):
+    # a recovered square is decided from its parameters: no second square is
+    # built and the entries are never sorted; an unrecovered one sorts once
+    recovered = (frierson9("A"), apply_phase(frierson9("K"), "rt"), SquareMatrix.all_ones(27))
+    unrecovered = (m5, SquareMatrix.identity(9), lucas3(4, 3, 1) * Fraction(1, 2))
+    calls = {"lucas": 0, "check_natural": 0, "SquareMatrix": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for module in (construct, verify):  # wherever verify could reach lucas
+        monkeypatch.setattr(module, "lucas", counted("lucas", lucas), raising=False)
+    monkeypatch.setattr(verify, "check_natural", counted("check_natural", check_natural))
+    monkeypatch.setattr(SquareMatrix, "__init__",
+                        counted("SquareMatrix", SquareMatrix.__init__))
+    for m, natural in zip(recovered, (True, True, False)):
+        assert verify_report(m).is_natural is natural
+    assert calls == {"lucas": 0, "check_natural": 0, "SquareMatrix": 0}
+    for m in unrecovered:
+        calls["check_natural"] = 0
+        assert not verify_report(m).is_natural
+        assert calls["check_natural"] == 1
+
+
+def test_recovery_reads_the_rows_up_to_the_first_that_differs(monkeypatch):
+    # the candidate is read from rows near the centre; every other row is
+    # compared with the digit-sum stream, which stops at the first mismatch
+    m = lucas(((4, 1, 3), (36, 27, 9)))
+    drawn = []
+
+    def stream(triples):
+        for row in construct._lucas_rows(triples):
+            drawn.append(row)
+            yield row
+
+    monkeypatch.setattr(verify, "_lucas_rows", stream)
+    assert recover_lucas_params(m) == ((4, 1, 3), (36, 27, 9)) and len(drawn) == 9
+    for i, j, new in ((8, 4, m[8, 4] + 1), (8, 0, m[8, 0] + Fraction(1, 2)),
+                      (0, 8, Fraction(1, 3))):
+        rows = [list(r) for r in m.rows]
+        rows[i][j] = new
+        drawn.clear()
+        assert recover_lucas_params(SquareMatrix(rows)) is None
+        assert len(drawn) == i + 1
+
+
+def test_recovery_refuses_rational_parameters():
+    # every entry rational, so the candidate read near the centre is too
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for triples in (((half, third, 1),), ((half, third, 1), (3 * half, 1, third))):
+        blocks = [construct._lucas3_rows(*t) for t in triples]
+        m = SquareMatrix(construct._digit_rows(blocks))
+        assert not m.is_integer()
+        assert recover_lucas_params(m) is None
+
+
+# Level-3 magnitude sets that meet both of the natural squares' moment
+# equations (fnc_integer_solutions(3), which pins 253 of them) but are not
+# the powers of 3.
+FNC_IMPOSTORS = ((1, 2, 6, 17, 102, 236), (3, 5, 19, 35, 53, 249),
+                 (7, 9, 23, 33, 41, 251), (15, 16, 19, 22, 40, 252))
+
+
+def test_impostors_meet_the_moment_equations():
+    for mags in FNC_IMPOSTORS:
+        assert sum(x * x for x in mags) == fnc_parameter_equation(3)
+        assert sum(mags) == (9 ** 3 - 1) // 2 and len(set(mags)) == 6
+
+
+@st.composite
+def near_natural_squares(draw, max_level=4):
+    """A phased square at levels 1 to max_level whose magnitudes are 3^0 ..
+    3^(2l-1) in some order and with any signs, or those with one replaced by
+    zero, by another of them or by any value up to 3^(2l), or a level-3 FNC
+    impostor; each c_k is |v_k| + |y_k| plus a shift whose total is zero
+    (natural magnitudes stay natural) or any."""
+    level = draw(st.integers(1, max_level))
+    kind = draw(st.sampled_from(("powers", "zero", "repeat", "other", "impostor")))
+    if kind == "impostor":
+        level, mags = 3, list(draw(st.sampled_from(FNC_IMPOSTORS)))
+    else:
+        mags = [3 ** k for k in range(2 * level)]
+    mags = list(draw(st.permutations(mags)))
+    spot = st.integers(0, 2 * level - 1)
+    if kind == "zero":
+        mags[draw(spot)] = 0
+    elif kind == "repeat":
+        mags[draw(spot)] = mags[draw(spot)]
+    elif kind == "other":
+        mags[draw(spot)] = draw(st.integers(1, 9 ** level))
+    ws = [w * draw(st.sampled_from((1, -1))) for w in mags]
+    shifts = [draw(st.integers(-3, 3)) for _ in range(level)]
+    if draw(st.booleans()):
+        shifts[0] -= sum(shifts)
+    triples = [(abs(v) + abs(y) + s, v, y) for v, y, s in zip(ws[0::2], ws[1::2], shifts)]
+    return apply_phase(lucas(triples), draw(st.sampled_from(PHASE_NAMES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_natural_squares())
+@example(frierson([(1, 3), (9, 27), (81, 243), (729, 2187)]))
+@example(lucas(((5, 3, -1), (35, -27, 9))))  # shifts +1 and -1: still natural
+@example(lucas(((5, 3, -1), (36, -27, 9))))  # total one past: 1 .. 81
+@example(lucas(((4, 3, 1), (30, 27, 3))))  # 3 twice
+@example(frierson([(0, 3), (9, 27), (81, 243)]))  # a zero magnitude
+@example(lucas([(v + y, v, y) for v, y in zip(FNC_IMPOSTORS[0][0::2], FNC_IMPOSTORS[0][1::2])]))
+def test_natural_is_read_from_the_magnitudes(m):
+    params = recover_lucas_params(m)
+    assert params is not None
+    assert verify._natural(params) is verify_report(m).is_natural is check_natural(m)
 
 
 signed = st.integers(min_value=-40, max_value=40)
