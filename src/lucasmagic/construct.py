@@ -88,7 +88,7 @@ def lucas(triples) -> SquareMatrix:
     triples[0] is the innermost level; the order of the result is
     3**len(triples).
     """
-    return SquareMatrix(_lucas_rows(normalize_triples(triples)))
+    return SquareMatrix._from_rows(tuple(_lucas_rows(normalize_triples(triples))))
 
 
 def _lucas_rows(triples):
@@ -204,12 +204,12 @@ def apply_phase(m: SquareMatrix, phase: str) -> SquareMatrix:
     if entry is None:
         raise ValueError(f"unknown phase {phase!r}")
     transpose, flip_rows, flip_cols = entry[1]
-    rows = list(zip(*m.rows)) if transpose else m.rows
+    rows = tuple(zip(*m.rows)) if transpose else m.rows
     if flip_rows:
         rows = rows[::-1]
     if flip_cols:
-        rows = [r[::-1] for r in rows]
-    return SquareMatrix(rows)
+        rows = tuple(r[::-1] for r in rows)
+    return SquareMatrix._from_rows(rows)
 
 
 def phase_parameters(triples, phase: str) -> tuple[Triple, ...]:

@@ -44,16 +44,18 @@ def _norm_row(row) -> tuple:
     return tuple(_norm_entry(x) for x in row)
 
 
-def _parse_grid_row(line: str) -> list:
+def _parse_grid_row(line: str) -> tuple:
+    """One grid line as a row of normalized entries: a row that int() reads
+    whole is exact ints already, and any other row goes through _norm_row."""
     # int() reads "1_000" on every supported Python, Fraction() only from
     # 3.11 on, so a row holding an underscore is left to Fraction alone
     tokens = line.split()
     if "_" not in line:
         try:
-            return list(map(int, tokens))
+            return tuple(map(int, tokens))
         except ValueError:  # a p/q or decimal token
             pass
-    return [_parse_fraction(tok) for tok in tokens]
+    return _norm_row([_parse_fraction(tok) for tok in tokens])
 
 
 def _int_digit_limit() -> int:
@@ -149,10 +151,24 @@ class SquareMatrix:
     Kronecker products and exact rank.  Construct from a sequence of rows.
     """
 
-    __slots__ = ("n", "rows")
+    # _recovered holds verify.recover_lucas_params's verified outcome (the
+    # triples or None); it is unset until the first call, and derived from
+    # the rows, so equality, hashing, copies and pickles ignore it
+    __slots__ = ("n", "rows", "_recovered")
 
     def __init__(self, rows):
-        rows = tuple(_norm_row(row) for row in rows)
+        self._set_rows(tuple(_norm_row(row) for row in rows))
+
+    @classmethod
+    def _from_rows(cls, rows: tuple) -> "SquareMatrix":
+        """A matrix from a tuple of rows that are already tuples of normalized
+        entries, as _norm_row returns them (exact ints, say): no entry is
+        walked.  The shape is still checked."""
+        m = object.__new__(cls)
+        m._set_rows(rows)
+        return m
+
+    def _set_rows(self, rows: tuple) -> None:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("SquareMatrix needs a nonempty square array of rows")
@@ -161,6 +177,9 @@ class SquareMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareMatrix is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
 
     # -- constructors ------------------------------------------------------
 
@@ -242,7 +261,7 @@ class SquareMatrix:
         return _scaled([slots.unpack(_packed_dot(x, pb)) for x in ra], d)
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(list(zip(*self.rows)))
+        return SquareMatrix._from_rows(tuple(zip(*self.rows)))
 
     @property
     def T(self) -> "SquareMatrix":
@@ -312,7 +331,7 @@ class SquareMatrix:
                 rows.append(_parse_grid_row(line))
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in grid row {line!r}") from None
-        return SquareMatrix(rows)
+        return SquareMatrix._from_rows(tuple(rows))
 
     def to_json(self) -> dict:
         if not self.is_integer():
@@ -331,7 +350,7 @@ class SquareMatrix:
             isinstance(r, list) and all(type(x) is int for x in r) for r in rows
         ):
             raise ValueError('json matrix needs "rows": a list of lists of integers')
-        m = SquareMatrix(rows)
+        m = SquareMatrix._from_rows(tuple(map(tuple, rows)))
         if m.n != obj.get("order", m.n):
             raise ValueError("declared order disagrees with row count")
         return m

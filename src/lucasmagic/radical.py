@@ -234,6 +234,9 @@ class Radical:
     def __setattr__(self, name, value):
         raise AttributeError("Radical is immutable")
 
+    def __reduce__(self):
+        return type(self)._canonical, (self.coeff, self.radicand)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -450,6 +453,9 @@ class RadicalSum:
 
     def __setattr__(self, name, value):
         raise AttributeError("RadicalSum is immutable")
+
+    def __reduce__(self):
+        return type(self), (self._terms,)
 
     def terms(self) -> tuple[Radical, ...]:
         return self._terms

@@ -494,7 +494,7 @@ def matrix_power(triples, k: int) -> SquareMatrix:
         blocks.append([[f * x for x in row] for row in rows])
     const = blocks.pop()
     blocks[0] = [[x + z for x, z in zip(r, c)] for r, c in zip(blocks[0], const)]
-    return SquareMatrix(_digit_rows(blocks))
+    return SquareMatrix._from_rows(tuple(_digit_rows(blocks)))
 
 
 def matrix_power_digits(triples, k: int) -> float:

@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .exactmat import SquareMatrix
-from .construct import (Triple, _lucas_rows, _sigma_coefficients, level_of_order, magic_index,
-                        normalize_triples, rank)
+from .construct import Triple, _lucas_rows, _sigma_coefficients, level_of_order, normalize_triples
 
 
 def check_magic(m: SquareMatrix):
@@ -90,7 +89,22 @@ def recover_lucas_params(m: SquareMatrix):
     reproduces the conventional values for natural squares.  The candidate
     is always verified by reconstruction, row by row up to the first that
     differs; any mismatch or non-integer candidate returns None.
+
+    The first call on a matrix object stores the verified outcome on it, and
+    later calls on that object return it: the square is immutable, so every
+    object runs the reconstruction check exactly once.  An equal but
+    distinct object is recovered afresh.
     """
+    try:
+        return m._recovered
+    except AttributeError:
+        params = _recover(m)
+        object.__setattr__(m, "_recovered", params)
+        return params
+
+
+def _recover(m: SquareMatrix):
+    """recover_lucas_params's centre read and reconstruction check."""
     try:
         level = level_of_order(m.n)
     except ValueError:
@@ -149,7 +163,9 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
     line sum magic_index(params); it is regular, since in each order-3 block
     an entry plus its mirror is 2 c_k, so entry plus mirror is
     2 sum c_k = 2 mu / n; its rank is rank(params); its squared Frobenius
-    norm is that of `_frobenius_sq`; and `_natural` decides naturalness.  An
+    norm is that of `_frobenius_sq`; and `_natural` decides naturalness.
+    The line sum, rank and norm are read from one list of
+    `_sigma_coefficients`, whose first entry is the line sum.  An
     unrecovered square runs the entrywise checks, and Bareiss elimination
     ranks it.
     """
@@ -160,9 +176,10 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
         frobenius_sq = m.frobenius_sq()
         exact_rank, is_natural = m.exact_rank(), check_natural(m)
     else:
-        is_magic, mu, is_regular = True, magic_index(params), True
-        frobenius_sq = _frobenius_sq(params)
-        exact_rank, is_natural = rank(params), _natural(params)
+        sigma = _sigma_coefficients(params)
+        is_magic, mu, is_regular = True, sigma[0], True
+        frobenius_sq = _frobenius_sq(sigma)
+        exact_rank, is_natural = len(sigma) - sigma.count(0), _natural(params)
     return VerificationReport(
         order=m.n,
         is_magic=is_magic,
@@ -176,8 +193,9 @@ def verify_report(m: SquareMatrix) -> VerificationReport:
     )
 
 
-def _frobenius_sq(triples) -> int:
-    """The squared Frobenius norm of lucas(triples), for normalized triples.
+def _frobenius_sq(sigma) -> int:
+    """The squared Frobenius norm of lucas(triples), from its
+    _sigma_coefficients(triples).
 
     Entry (i, j) is sum_k L3(p_k)[d_k(i)][d_k(j)], and the n^2 digit tuples
     meet each pair of digits equally often, so the sum of squared entries is
@@ -186,7 +204,7 @@ def _frobenius_sq(triples) -> int:
     mu^2 + 2 * 3^(2l-1) sum (v_k^2 + y_k^2), the sum of the squared singular
     values: mu^2 and 3 w^2 for each further signed coefficient w.
     """
-    mu, *ws = _sigma_coefficients(triples)
+    mu, *ws = sigma
     return mu * mu + 3 * sum(w * w for w in ws)
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from lucasmagic import exactmat
 from lucasmagic.algebra import commutes_exactly
+from lucasmagic.construct import PHASE_NAMES, apply_phase, lucas
 from lucasmagic.exactmat import SquareMatrix, commutator, commutes, kron
+from lucasmagic.spectra import matrix_power
 
 
 # -- reference implementations --------------------------------------------
@@ -445,3 +447,102 @@ def test_grid_rows_mix_integers_and_fractions():
     assert m.rows == ((1, Fraction(1, 2)), (-3, 1))
     with pytest.raises(ValueError, match="zero denominator"):
         SquareMatrix.from_grid("1 2\n3 4/0\n")
+
+
+# -- rows that skip _norm_row ------------------------------------------------
+# lucas, matrix_power, apply_phase, transpose, from_grid and from_json hand
+# their rows to SquareMatrix._from_rows, which walks no entry.  Each must give
+# what the public constructor makes of the same rows: equal tuples of rows,
+# and the same type for every entry.
+
+
+def assert_rows_as_the_constructor_makes_them(m):
+    public = SquareMatrix([list(r) for r in m.rows])
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+    assert m.rows == public.rows and m.n == public.n
+    assert [list(map(type, r)) for r in m.rows] == [list(map(type, r)) for r in public.rows]
+
+
+@given(
+    st.lists(st.tuples(*[st.integers(-30, 30)] * 3), min_size=1, max_size=4),
+    st.integers(1, 3),
+)
+@settings(max_examples=20, deadline=None)
+def test_trusted_producers_match_the_public_constructor(triples, k):
+    m = lucas(triples)
+    made = [m, matrix_power(triples, k), m.T]
+    for phase in PHASE_NAMES:
+        image = apply_phase(m, phase)
+        made += [image, image.T, SquareMatrix.from_grid(image.to_grid()),
+                 SquareMatrix.from_json(json.dumps(image.to_json()))]
+    for x in made:
+        assert_rows_as_the_constructor_makes_them(x)
+    assert {type(e) for x in made for e in x.entries()} == {int}
+
+
+def test_phase_and_transpose_keep_rational_and_tagged_entries():
+    class Tagged(int):
+        pass
+
+    m = SquareMatrix([[Fraction(1, 2), Tagged(3)], [Fraction(4, 2), -1]])
+    for x in (m.T, *(apply_phase(m, p) for p in PHASE_NAMES)):
+        assert_rows_as_the_constructor_makes_them(x)
+        assert set(map(type, x.entries())) == {Fraction, Tagged, int}
+
+
+@pytest.mark.parametrize(
+    "text, fraction_rows",
+    [
+        ("1 -2\n+3 007\n", 0),
+        ("1 ١\n-0 ３\n", 0),
+        ("1_000 2\n3 4\n", 1),
+        ("1 2/4\n6/3 4\n", 2),
+        ("0.5 1\n2 1e3\n", 2),
+        ("1 2\n3 4_0\n", 1),
+    ],
+)
+def test_grid_rows_int_cannot_read_go_through_norm_row(monkeypatch, text, fraction_rows):
+    normalized = []
+    norm_row = exactmat._norm_row
+    monkeypatch.setattr(exactmat, "_norm_row", lambda row: normalized.append(row) or norm_row(row))
+    m = SquareMatrix.from_grid(text)
+    assert len(normalized) == fraction_rows
+    monkeypatch.undo()
+    want = SquareMatrix([[Fraction(tok) for tok in line.split()] for line in text.splitlines()])
+    assert_rows_as_the_constructor_makes_them(m)
+    assert m.rows == want.rows
+    assert [list(map(type, r)) for r in m.rows] == [list(map(type, r)) for r in want.rows]
+
+
+NOT_SQUARE = "nonempty square array"
+NOT_INTEGERS = "a list of lists of integers"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", NOT_SQUARE),
+        ("\n  \n", NOT_SQUARE),
+        ("1 2\n3\n", NOT_SQUARE),
+        ("1 2 3\n4 5 6\n", NOT_SQUARE),
+        ("1_0 2\n3 4 5\n", NOT_SQUARE),
+        ("1 2/4\n3\n", NOT_SQUARE),
+        ("1 2\n3 x\n", "Invalid literal for Fraction"),
+        ("1 2\n3 4/0\n", "zero denominator"),
+        ('{"rows": []}', NOT_SQUARE),
+        ('{"rows": [[]]}', NOT_SQUARE),
+        ('{"rows": [[1, 2], [3]]}', NOT_SQUARE),
+        ('{"rows": [[1, 2, 3], [4, 5, 6]]}', NOT_SQUARE),
+        ('{"rows": [[1, 2], [3, 4]], "order": 3}', "declared order"),
+        ('{"rows": [[true]]}', NOT_INTEGERS),
+        ('{"rows": [[1.0]]}', NOT_INTEGERS),
+        ('{"rows": [[1, "2"], [3, 4]]}', NOT_INTEGERS),
+        ('{"rows": [1, 2]}', NOT_INTEGERS),
+        ('{"order": 1}', NOT_INTEGERS),
+        ("[[1]]", NOT_INTEGERS),
+    ],
+)
+def test_readers_refuse_what_is_not_a_square(text, message):
+    read = SquareMatrix.from_json if text.startswith(("{", "[")) else SquareMatrix.from_grid
+    with pytest.raises(ValueError, match=message):
+        read(text)

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lucasmagic import construct, verify
+from lucasmagic import algebra, construct, verify
+from lucasmagic.algebra import commuting_pair_report
 from lucasmagic.construct import (
     PHASE_NAMES,
     apply_phase,
@@ -17,6 +20,8 @@ from lucasmagic.construct import (
     rank,
 )
 from lucasmagic.exactmat import SquareMatrix
+from lucasmagic.radical import Radical, RadicalSum
+from lucasmagic.spectra import spectrum_report
 from lucasmagic.verify import (
     check_fnc,
     check_magic,
@@ -401,6 +406,84 @@ def test_recovery_refuses_rational_parameters():
         m = SquareMatrix(construct._digit_rows(blocks))
         assert not m.is_integer()
         assert recover_lucas_params(m) is None
+
+
+def counted_streams(monkeypatch):
+    """The triples of every reconstruction recovery streams, in call order."""
+    streamed = []
+
+    def stream(triples):
+        streamed.append(triples)
+        return construct._lucas_rows(triples)
+
+    monkeypatch.setattr(verify, "_lucas_rows", stream)
+    return streamed
+
+
+def test_each_matrix_streams_its_reconstruction_once(monkeypatch):
+    # the verified outcome is kept on the matrix object: verify_report and
+    # commuting_pair_report on the same square stream it once between them
+    streamed = counted_streams(monkeypatch)
+    g = SquareMatrix.from_grid(apply_phase(frierson9("K"), "rt").to_grid())
+    h = lucas(((4, 3, 1), (36, 27, 9)))
+    params = verify_report(g).lucas_params
+    assert params is not None and streamed == [params]
+    pair = commuting_pair_report(g, h)
+    assert pair.left == params and pair.consistent is True
+    assert streamed == [params, pair.right]
+    verify_report(g)
+    commuting_pair_report(h, g)
+    assert recover_lucas_params(g) == params and len(streamed) == 2
+    # an equal but distinct object is recovered afresh
+    twin = SquareMatrix.from_grid(g.to_grid())
+    assert twin == g and twin is not g
+    assert recover_lucas_params(twin) == params and streamed[2:] == [params]
+
+
+def test_an_unrecovered_square_stores_none_and_is_multiplied_out(monkeypatch):
+    streamed = counted_streams(monkeypatch)
+    products = []
+    commutes = algebra.commutes
+    monkeypatch.setattr(algebra, "commutes", lambda a, b: products.append(a) or commutes(a, b))
+    u, h = SquareMatrix.identity(9), lucas(((4, 3, 1), (36, 27, 9)))
+    for _ in range(2):
+        pair = commuting_pair_report(u, h)
+        assert (pair.left, pair.predicted, pair.observed) == (None, None, True)
+    assert u._recovered is None and verify_report(u).lucas_params is None
+    assert products == [u, u]  # the packed product runs on every report
+    assert len(streamed) == 2  # u's candidate and h, once each
+
+
+def test_the_recovery_slot_keeps_the_matrix_immutable_and_its_value_alone():
+    m, fresh = frierson9("A"), frierson9("A")
+    assert recover_lucas_params(m) == ((4, 3, 1), (36, 27, 9))
+    assert not hasattr(fresh, "_recovered")
+    assert m == fresh and hash(m) == hash(fresh) and len({m, fresh}) == 1
+    for name in ("_recovered", "rows", "n", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, None)
+    assert m._recovered == ((4, 3, 1), (36, 27, 9))
+
+
+def test_copies_and_pickles_round_trip_matrices_radicals_and_reports(m5):
+    recovered, unrecovered = frierson9("A"), SquareMatrix.identity(9)
+    recover_lucas_params(recovered)
+    recover_lucas_params(unrecovered)
+    values = [
+        frierson9("D"), recovered, unrecovered, m5, lucas3(4, 3, 1) * Fraction(1, 2),
+        Radical(0, 0), Radical(Fraction(-3, 2), 12), Radical(5, -1), Radical(7),
+        RadicalSum(), RadicalSum([Radical(1, 2), Radical(3, -5), 7]),
+        verify_report(recovered), verify_report(unrecovered), verify_report(m5),
+        spectrum_report(((4, 3, 1),)), spectrum_report(((4, 1, 3), (36, 27, 9))),
+        commuting_pair_report(recovered, frierson9("D")), commuting_pair_report(m5, m5),
+    ]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+            if isinstance(x, SquareMatrix):
+                # the recovery outcome is derived from the rows: not carried over
+                assert hash(y) == hash(x) and not hasattr(y, "_recovered")
+                assert recover_lucas_params(y) == recover_lucas_params(x)
 
 
 # Level-3 magnitude sets that meet both of the natural squares' moment
